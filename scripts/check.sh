@@ -39,7 +39,8 @@
 #    just deterministic.
 #
 # --fast reuses the plain ./build tree (no sanitizers), runs only the
-# tier1 gate and skips the TSAN leg: a quick pre-commit pass.
+# tier1 gate and one fixed-seed gg-fuzz run, and skips the TSAN leg: a
+# quick pre-commit pass.
 #
 # --fuzz-minutes=N extends the fuzz smoke leg into an N-minute soak:
 # gg-fuzz keeps re-running the full coverage plan under fresh per-round
@@ -83,7 +84,16 @@ echo "== ctest (tier1 fast gate)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L tier1 -j"$(nproc)"
 
 if [[ "$FAST" == 1 ]]; then
-  echo "== fast pass done (tier1 only; full run: scripts/check.sh)"
+  # The cheapest end-to-end check that the fuzzer's table-simulator
+  # predictions match the coverage the real matcher records.
+  echo "== fuzz smoke (fixed seed)"
+  FUZZ_OUT=$(mktemp)
+  "$BUILD_DIR"/tools/gg-fuzz --seed=0xF0225EED --threads=4 >"$FUZZ_OUT" ||
+    { echo "gg-fuzz found failures" >&2; cat "$FUZZ_OUT" >&2
+      rm -f "$FUZZ_OUT"; exit 1; }
+  sed -n 's/^gg-fuzz: /   /p' "$FUZZ_OUT"
+  rm -f "$FUZZ_OUT"
+  echo "== fast pass done (tier1 + fuzz smoke; full run: scripts/check.sh)"
   exit 0
 fi
 

@@ -30,7 +30,7 @@ void touchSchemaKeys() {
           "cg.recovered_trees", "cg.parallel.threads", "cg.parallel.tasks",
           "cg.parallel.steals", "match.trees",
           "match.shifts", "match.reduces", "match.dynamic_ties",
-          "match.chooser_invocations", "match.syntactic_blocks",
+          "match.syntactic_blocks",
           "match.depth_cap_hits", "match.budget_stops",
           "fault.productions_dropped",
           "fault.trees_truncated", "fault.table_bytes_corrupted",
@@ -186,7 +186,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
           faultInject().truncatedInputSize(Input.size(), TreeOrdinal++));
       R.MatcherTokens += Input.size();
       ProfilePhaseScope PS(ProfPhase::Match);
-      MR = Target.matcher().match(Input, nullptr, Opts.Budget);
+      MR = Target.matcher().match(Input, Opts.Budget);
     }
     std::string TreeErr;
     bool TreeOk = MR.Ok;

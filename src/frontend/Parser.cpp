@@ -605,6 +605,11 @@ private:
       size_t Resume = Pos;
       Pos = StepStart;
       emitValueAsStmt(parseExpr());
+      // The step is one expression: stray tokens before the ')' must not
+      // be dropped silently.
+      if (Pos != StepEnd)
+        error(strf("expected %s after for step, found %s",
+                   tokName(Tok::RParen), tokName(peek().Kind)));
       Pos = Resume;
     }
     emitJump(LCond);

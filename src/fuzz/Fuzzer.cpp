@@ -215,7 +215,7 @@ std::vector<SynthStmt> Fuzzer::plan(const FuzzOptions &Opts,
       std::vector<int> Idx;
       Idx.reserve(Names.size());
       for (const std::string &N : Names)
-        Idx.push_back(Sim.termIndexFor(N));
+        Idx.push_back(Sim.grammar().termIndexOf(N));
       TableSim::Config Cfg;
       std::vector<std::string> Prefix;
       for (size_t K = 0; K < Idx.size() && !Remaining.empty(); ++K) {

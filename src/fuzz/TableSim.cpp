@@ -1,9 +1,7 @@
-//===- TableSim.cpp - exact parse-table simulator -------------------------===//
+//===- TableSim.cpp - side-effect-free parse-table walker -----------------===//
 
 #include "fuzz/TableSim.h"
 #include "support/Strings.h"
-
-#include <unordered_map>
 
 using namespace gg;
 
@@ -12,82 +10,62 @@ namespace {
 /// consuming input; the real Matcher is protected by its step budget, the
 /// simulator by this cap (far above any legitimate reduction cascade).
 constexpr size_t MaxReducesPerLookahead = 4096;
+
+/// The simulator predicts the matcher's default configuration.
+const size_t DepthCap = MatcherOptions{}.MaxStackDepth;
+
+/// Appends what one step did to \p Trace. \p Top is the stack top after
+/// the step.
+void record(const Grammar &G, const StepEvent &E, int TermIdx, int Top,
+            SimTrace &Trace) {
+  switch (E.Kind) {
+  case StepEvent::Shift:
+    Trace.States.push_back(E.Pushed);
+    break;
+  case StepEvent::Accept:
+    break;
+  case StepEvent::NoAction:
+    Trace.Error =
+        strf("no action in state %d on '%s'", E.State,
+             G.symbolName(G.terminals()[TermIdx]).c_str());
+    break;
+  case StepEvent::DepthCap:
+    Trace.Error = strf("depth cap %zu exceeded in state %d", DepthCap, E.State);
+    break;
+  case StepEvent::Reduce:
+  case StepEvent::MissingGoto:
+  case StepEvent::Underflow:
+    // Like the Matcher's coverage, a reduce and its tie point count as
+    // soon as the step attempts them, even if the goto then fails.
+    if (E.Tie)
+      Trace.DynConsults.emplace_back(E.State, TermIdx);
+    Trace.Reduces.push_back(E.Prod);
+    if (E.Kind == StepEvent::Reduce)
+      Trace.States.push_back(E.Pushed);
+    else if (E.Kind == StepEvent::MissingGoto)
+      Trace.Error = strf("missing goto for '%s' in state %d",
+                         G.symbolName(G.prod(E.Prod).Lhs).c_str(), Top);
+    else
+      Trace.Error = strf("stack underflow reducing p%d", E.Prod);
+    break;
+  }
+}
 } // namespace
 
-TableSim::TableSim(const Grammar &G, const PackedTables &T, size_t DepthCap)
-    : G(G), T(T), DepthCap(DepthCap), EofIdx(G.termIndex(G.eofSymbol())) {
-  TermNames.resize(G.terminals().size());
-  for (SymId S : G.terminals())
-    TermNames[G.termIndex(S)] = G.symbolName(S);
-}
+TableSim::TableSim(const Grammar &G, const PackedTables &T)
+    : G(G), T(T), EofIdx(G.termIndex(G.eofSymbol())) {}
 
-int TableSim::termIndexFor(const std::string &Name) const {
-  // Witness search calls this rarely (sentences are built over dense
-  // indices); a linear scan keeps the class allocation-free per query.
-  for (size_t I = 0; I < TermNames.size(); ++I)
-    if (TermNames[I] == Name)
-      return static_cast<int>(I);
-  return -1;
-}
-
-int TableSim::reduceUntilShift(Config &Cfg, int TermIdx,
-                               SimTrace *Trace) const {
-  for (size_t Guard = 0; Guard < MaxReducesPerLookahead; ++Guard) {
-    if (Cfg.Stack.size() > DepthCap) {
-      if (Trace)
-        Trace->Error = strf("depth cap %zu exceeded in state %d",
-                            DepthCap, Cfg.top());
-      return 0;
-    }
-    Action A = T.actionAt(Cfg.top(), TermIdx);
-    switch (A.Kind) {
-    case ActionType::Shift:
-      return 1;
-    case ActionType::Accept:
-      return 2;
-    case ActionType::Error:
-      if (Trace)
-        Trace->Error =
-            strf("no action in state %d on '%s'", Cfg.top(),
-                 TermIdx < static_cast<int>(TermNames.size())
-                     ? TermNames[TermIdx].c_str()
-                     : "?");
-      return 0;
-    case ActionType::Reduce: {
-      int State = Cfg.top();
-      int Prod = A.Target; // null chooser: the static default always wins
-      if (T.dynChoicesAt(State, TermIdx) && Trace)
-        Trace->DynConsults.emplace_back(State, TermIdx);
-      if (Trace) {
-        Trace->Reduces.push_back(Prod);
-        ++Trace->Steps;
-      }
-      const Production &P = G.prod(Prod);
-      if (Cfg.Stack.size() <= P.Rhs.size()) {
-        if (Trace)
-          Trace->Error = strf("stack underflow reducing p%d", Prod);
-        return 0;
-      }
-      Cfg.Stack.resize(Cfg.Stack.size() - P.Rhs.size());
-      int GotoState = T.gotoAt(Cfg.top(), G.ntIndex(P.Lhs));
-      if (GotoState < 0) {
-        // The consult above already happened — mirroring the Matcher,
-        // which records the dyn point before the goto lookup.
-        if (Trace)
-          Trace->Error = strf("missing goto for '%s' in state %d",
-                              G.symbolName(P.Lhs).c_str(), Cfg.top());
-        return 0;
-      }
-      Cfg.Stack.push_back(GotoState);
-      if (Trace)
-        Trace->States.push_back(GotoState);
-      break;
-    }
-    }
+StepEvent TableSim::feed(Config &Cfg, int TermIdx, SimTrace *Trace) const {
+  for (size_t Reduces = 0; Reduces < MaxReducesPerLookahead; ++Reduces) {
+    const StepEvent E = lrStep(G, T, Cfg.Stack, TermIdx, DepthCap);
+    if (Trace)
+      record(G, E, TermIdx, Cfg.top(), *Trace);
+    if (E.Kind != StepEvent::Reduce)
+      return E;
   }
   if (Trace)
     Trace->Error = "reduction cascade exceeded the simulator cap";
-  return 0;
+  return StepEvent{};
 }
 
 bool TableSim::advance(Config &Cfg, int TermIdx, SimTrace *Trace) const {
@@ -96,33 +74,21 @@ bool TableSim::advance(Config &Cfg, int TermIdx, SimTrace *Trace) const {
       Trace->Error = strf("unknown terminal index %d", TermIdx);
     return false;
   }
-  int R = reduceUntilShift(Cfg, TermIdx, Trace);
-  if (R != 1) {
-    if (R == 2 && Trace)
-      Trace->Error = "accept action on a non-EOF terminal";
-    return false;
-  }
-  Action A = T.actionAt(Cfg.top(), TermIdx);
-  Cfg.Stack.push_back(A.Target);
-  if (Trace) {
-    Trace->States.push_back(A.Target);
-    ++Trace->Steps;
-  }
-  // An overgrown stack is caught at the next lookahead's cap check, the
-  // same place the Matcher catches it.
-  return true;
+  // An overgrown stack is caught at the next step's cap check, the same
+  // place the Matcher catches it.
+  const StepEvent E = feed(Cfg, TermIdx, Trace);
+  if (E.Kind == StepEvent::Accept && Trace)
+    Trace->Error = "accept action on a non-EOF terminal";
+  return E.Kind == StepEvent::Shift;
 }
 
 bool TableSim::finish(Config &Cfg, SimTrace *Trace) const {
-  int R = reduceUntilShift(Cfg, EofIdx, Trace);
-  if (R == 2) {
-    if (Trace)
-      Trace->Accepted = true;
-    return true;
-  }
-  if (R == 1 && Trace)
+  const StepEvent E = feed(Cfg, EofIdx, Trace);
+  if (Trace && E.Kind == StepEvent::Accept)
+    Trace->Accepted = true;
+  if (Trace && E.Kind == StepEvent::Shift)
     Trace->Error = "shift action on end-of-input";
-  return false;
+  return E.Kind == StepEvent::Accept;
 }
 
 SimTrace TableSim::run(const std::vector<int> &TermIdxs) const {
@@ -137,19 +103,15 @@ SimTrace TableSim::run(const std::vector<int> &TermIdxs) const {
 }
 
 SimTrace TableSim::runNames(const std::vector<std::string> &Tokens) const {
-  std::unordered_map<std::string, int> Index;
-  for (size_t I = 0; I < TermNames.size(); ++I)
-    Index.emplace(TermNames[I], static_cast<int>(I));
   std::vector<int> Idxs;
   Idxs.reserve(Tokens.size());
   for (const std::string &Tok : Tokens) {
-    auto It = Index.find(Tok);
-    if (It == Index.end()) {
+    Idxs.push_back(G.termIndexOf(Tok));
+    if (Idxs.back() < 0) {
       SimTrace Trace;
       Trace.Error = strf("unknown terminal '%s'", Tok.c_str());
       return Trace;
     }
-    Idxs.push_back(It->second);
   }
   return run(Idxs);
 }

@@ -5,31 +5,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// An exact, side-effect-free mirror of the Matcher's null-chooser parse
-/// loop over the packed SLR tables. The grammar-aware fuzzer uses it to
-/// *predict* what the real pipeline will do — which productions reduce,
-/// which states are visited, which dynamic-tie points are consulted, and
-/// whether the parse accepts or blocks — without touching the process-wide
-/// coverage registry (which is enable-only by design; see
-/// support/Coverage.h). Searching for witnesses means simulating millions
-/// of prefixes, none of which may pollute the artifact the final corpus
-/// produces.
+/// A side-effect-free walk over the packed SLR tables. The grammar-aware
+/// fuzzer uses it to *predict* what the real pipeline will do — which
+/// productions reduce, which states are visited, which dynamic-tie points
+/// are consulted, and whether the parse accepts or blocks — without
+/// touching the process-wide coverage registry (which is enable-only by
+/// design; see support/Coverage.h). Searching for witnesses means
+/// simulating millions of prefixes, none of which may pollute the artifact
+/// the final corpus produces.
 ///
-/// The simulator must track Matcher::match byte-for-byte on the decisions
-/// that matter: default tie resolution (the table's Reduce target, never a
-/// tie alternative), goto on the dense nonterminal index, dyn-point
-/// consultation *before* the goto lookup (so a consult is recorded even
-/// when the default reduction then strands on a missing goto), and the
-/// depth cap. FuzzTest cross-validates it against the real Matcher on the
-/// whole witness corpus.
+/// The simulator is a loop over the matcher's own step, lrStep()
+/// (match/Matcher.h), with the matcher's default depth cap; it only
+/// records what each step did. Whether its predictions hold is checked
+/// end to end by the Fuzzer's verdicts, which compare them with the
+/// coverage the real Matcher records for every witness.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GG_FUZZ_TABLESIM_H
 #define GG_FUZZ_TABLESIM_H
 
-#include "mdl/Grammar.h"
-#include "tablegen/Packing.h"
+#include "match/Matcher.h"
 
 #include <cstdint>
 #include <string>
@@ -45,14 +41,13 @@ struct SimTrace {
   std::vector<int> Reduces;  ///< production ids, in reduction order
   std::vector<int> States;   ///< states visited (entry 0, shifts, gotos)
   std::vector<std::pair<int, int>> DynConsults; ///< (state, termIdx)
-  size_t Steps = 0;          ///< shift + reduce count
 };
 
-/// Side-effect-free SLR table walker with the Matcher's exact null-chooser
-/// semantics. Immutable after construction; safe to share across threads.
+/// Side-effect-free SLR table walker. Immutable after construction; safe
+/// to share across threads.
 class TableSim {
 public:
-  TableSim(const Grammar &G, const PackedTables &T, size_t DepthCap = 4096);
+  TableSim(const Grammar &G, const PackedTables &T);
 
   /// A parser configuration: the LR state stack. Starts as {0}.
   struct Config {
@@ -60,9 +55,9 @@ public:
     int top() const { return Stack.back(); }
   };
 
-  /// Dense index for a terminal name; -1 if unknown.
-  int termIndexFor(const std::string &Name) const;
-  const std::string &termName(int TermIdx) const { return TermNames[TermIdx]; }
+  const std::string &termName(int TermIdx) const {
+    return G.symbolName(G.terminals()[TermIdx]);
+  }
   int eofIndex() const { return EofIdx; }
   int numTerms() const { return T.numTerms(); }
 
@@ -84,18 +79,15 @@ public:
   SimTrace runNames(const std::vector<std::string> &Tokens) const;
 
   const Grammar &grammar() const { return G; }
-  const PackedTables &tables() const { return T; }
 
 private:
-  /// Shared reduce loop: reduces under \p TermIdx until the action is a
-  /// shift (returns 1), accept (returns 2), or a block (returns 0).
-  int reduceUntilShift(Config &Cfg, int TermIdx, SimTrace *Trace) const;
+  /// Feeds \p TermIdx: steps until a step other than a completed reduce,
+  /// recording every step in \p Trace when non-null; returns that step.
+  StepEvent feed(Config &Cfg, int TermIdx, SimTrace *Trace) const;
 
   const Grammar &G;
   const PackedTables &T;
-  size_t DepthCap;
   int EofIdx;
-  std::vector<std::string> TermNames; ///< dense index -> name
 };
 
 } // namespace gg

@@ -14,12 +14,6 @@ using namespace gg;
 Matcher::Matcher(const Grammar &G, const PackedTables &T, MatcherOptions Opts)
     : G(G), T(T), Opts(Opts) {
   assert(G.isFrozen() && "matcher requires a frozen grammar");
-  // Precompute every terminal's dense index; unknown tokens miss the map
-  // and report -1. Eager construction keeps match() free of mutable state,
-  // which is what makes one matcher shareable across parallel workers.
-  TermIndex.reserve(G.terminals().size());
-  for (SymId S : G.terminals())
-    TermIndex.emplace(G.symbolName(S), G.termIndex(S));
   // Size the coverage and cost-profile counter arrays while construction
   // is still serial (workers never resize; see support/Coverage.h).
   coverage().sizeGrammar(G.numProductions(), T.numStates(), T.numDynPoints());
@@ -52,6 +46,11 @@ std::string BlockReport::render() const {
                "(token %zu)",
                Lookahead.c_str(), State, TokenPos);
     break;
+  case Cause::Underflow:
+    Msg = strf("internal error: stack underflow reducing to '%s' in state "
+               "%d (token %zu)",
+               Lookahead.c_str(), State, TokenPos);
+    break;
   case Cause::DepthCap:
     Msg = strf("syntactic block: parse stack depth %zu exceeded the cap in "
                "state %d at token %zu ('%s')",
@@ -73,13 +72,7 @@ std::string BlockReport::render() const {
   return Msg;
 }
 
-int Matcher::termIndexFor(const std::string &Name) const {
-  auto It = TermIndex.find(Name);
-  return It == TermIndex.end() ? -1 : It->second;
-}
-
 MatchResult Matcher::match(const std::vector<LinToken> &Input,
-                           const DynamicChooser &Chooser,
                            RequestBudget *Budget) const {
   // Hot-path telemetry: entry references are stable, so look them up once
   // (and the entries themselves are atomics, safe for concurrent workers).
@@ -88,8 +81,6 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
   static std::atomic<uint64_t> &NumShifts = Reg.counter("match.shifts");
   static std::atomic<uint64_t> &NumReduces = Reg.counter("match.reduces");
   static std::atomic<uint64_t> &NumTies = Reg.counter("match.dynamic_ties");
-  static std::atomic<uint64_t> &NumChooser =
-      Reg.counter("match.chooser_invocations");
   static std::atomic<uint64_t> &NumBlocks =
       Reg.counter("match.syntactic_blocks");
   static std::atomic<uint64_t> &NumCapHits =
@@ -109,8 +100,8 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
   // each step's timestamp delta (since the previous step's end) charges
   // the acting state — a complete projection: the sum over states is the
   // whole matcher loop. Reduce steps additionally charge the production,
-  // and a deferred reduce/reduce tie charges the chooser's share to the
-  // (state, terminal) dyn point. See support/Profile.h for the timebases.
+  // and a deferred reduce/reduce tie charges the step itself (up to the
+  // goto) to the (state, terminal) dyn point. See support/Profile.h.
   ProfileRegistry &Prof = profile();
   const bool Profiling = Prof.instrEnabled();
   const ProfileTimebase ProfTB =
@@ -151,6 +142,10 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
     Span.arg("max_depth", static_cast<int64_t>(MaxDepth));
   };
 
+  auto LookaheadName = [&] {
+    return Pos < N ? Input[Pos].Term : G.symbolName(G.eofSymbol());
+  };
+
   // Fails the match with a structured report; Error is the rendering of
   // Block so string-matching consumers keep working.
   BudgetStop PendingBudgetWhy = BudgetStop::None;
@@ -182,117 +177,94 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
         Budget->shouldStop(R.Steps.size())) {
       ++NumBudgetStops;
       PendingBudgetWhy = Budget->Stopped.load(std::memory_order_relaxed);
-      Blocked(BlockReport::Cause::Budget,
-              Pos < N ? Input[Pos].Term : "$end");
+      Blocked(BlockReport::Cause::Budget, LookaheadName());
       return R;
     }
 
-    int TermIdx;
-    if (Pos < N) {
-      TermIdx = termIndexFor(Input[Pos].Term);
-      if (TermIdx < 0) {
-        Blocked(BlockReport::Cause::UnknownTerminal, Input[Pos].Term);
-        return R;
-      }
-    } else {
-      TermIdx = EofIdx;
-    }
-
-    if (StateStack.size() > DepthCap) {
-      // Cap hit: pathological input (or an injected fault) must degrade
-      // into a reportable block, not unbounded growth.
-      ++NumCapHits;
-      Blocked(BlockReport::Cause::DepthCap,
-              Pos < N ? Input[Pos].Term : G.symbolName(G.eofSymbol()));
+    const int TermIdx = Pos < N ? G.termIndexOf(Input[Pos].Term) : EofIdx;
+    if (TermIdx < 0) {
+      Blocked(BlockReport::Cause::UnknownTerminal, Input[Pos].Term);
       return R;
     }
 
-    int State = StateStack.back();
-    Action A = T.actionAt(State, TermIdx);
-    switch (A.Kind) {
-    case ActionType::Shift:
+    const StepEvent E = lrStep(G, T, StateStack, TermIdx, DepthCap);
+    switch (E.Kind) {
+    case StepEvent::Shift:
       ++NumShifts;
       if (Covering)
-        Cov.noteStateVisit(A.Target);
-      R.Steps.push_back(
-          {MatchStep::Shift, static_cast<int>(Pos), -1});
-      StateStack.push_back(A.Target);
+        Cov.noteStateVisit(E.Pushed);
+      R.Steps.push_back({MatchStep::Shift, static_cast<int>(Pos), -1});
       SymStack.push_back(G.terminals()[TermIdx]);
       MaxDepth = std::max(MaxDepth, StateStack.size());
       ++Pos;
       if (Profiling) {
         uint64_t Now = ProfileRegistry::now(ProfTB);
-        Prof.chargeState(State, Now - LastTs);
+        Prof.chargeState(E.State, Now - LastTs);
         LastTs = Now;
       }
       break;
 
-    case ActionType::Reduce: {
+    case StepEvent::Reduce:
+    case StepEvent::MissingGoto:
+    case StepEvent::Underflow: {
       ++NumReduces;
-      int Prod = A.Target;
-      bool DynTie = false;
       uint64_t TieTs = LastTs;
-      if (const std::vector<int> *Ties = T.dynChoicesAt(State, TermIdx)) {
+      if (E.Tie) {
         // A longest-rule tie the table constructor deferred to match time
-        // (§3.2 "choose among them dynamically using semantic attributes").
+        // (§3.2); the table's default production is taken.
         ++NumTies;
-        DynTie = true;
-        if (Chooser) {
-          ++NumChooser;
-          std::vector<int> Cands;
-          Cands.reserve(Ties->size() + 1);
-          Cands.push_back(Prod);
-          Cands.insert(Cands.end(), Ties->begin(), Ties->end());
-          Prod = Chooser(State, Cands);
-        }
         if (Profiling) {
-          // The chooser's share lands on the dyn point; the rest of the
-          // reduce stays with the production/state below.
           TieTs = ProfileRegistry::now(ProfTB);
-          Prof.chargeDyn(State, TermIdx, TieTs - LastTs);
+          Prof.chargeDyn(E.State, TermIdx, TieTs - LastTs);
         }
       }
       if (Covering) {
-        Cov.noteReduce(Prod);
-        if (DynTie)
-          Cov.noteDynChoice(State, TermIdx, Prod);
+        Cov.noteReduce(E.Prod);
+        if (E.Tie)
+          Cov.noteDynChoice(E.State, TermIdx, E.Prod);
       }
-      const Production &P = G.prod(Prod);
-      assert(StateStack.size() > P.Rhs.size() && "stack underflow on reduce");
-      StateStack.resize(StateStack.size() - P.Rhs.size());
+      // A failed reduce reports the stranded nonterminal as its lookahead:
+      // corrupt or stale tables, not a description gap.
+      const Production &P = G.prod(E.Prod);
+      if (E.Kind == StepEvent::Underflow) {
+        Blocked(BlockReport::Cause::Underflow, G.symbolName(P.Lhs));
+        return R;
+      }
       SymStack.resize(SymStack.size() - P.Rhs.size());
-      int GotoState = T.gotoAt(StateStack.back(), G.ntIndex(P.Lhs));
-      if (GotoState < 0) {
-        // Lookahead carries the stranded nonterminal: corrupt/stale tables,
-        // not a description gap.
+      if (E.Kind == StepEvent::MissingGoto) {
         Blocked(BlockReport::Cause::MissingGoto, G.symbolName(P.Lhs));
         return R;
       }
       if (Covering)
-        Cov.noteStateVisit(GotoState);
-      R.Steps.push_back({MatchStep::Reduce, -1, Prod});
-      StateStack.push_back(GotoState);
+        Cov.noteStateVisit(E.Pushed);
+      R.Steps.push_back({MatchStep::Reduce, -1, E.Prod});
       SymStack.push_back(P.Lhs);
       MaxDepth = std::max(MaxDepth, StateStack.size());
       if (Profiling) {
         uint64_t Now = ProfileRegistry::now(ProfTB);
-        Prof.chargeProd(Prod, Now - TieTs);
-        Prof.chargeState(State, Now - LastTs);
+        Prof.chargeProd(E.Prod, Now - TieTs);
+        Prof.chargeState(E.State, Now - LastTs);
         LastTs = Now;
       }
       break;
     }
 
-    case ActionType::Accept:
+    case StepEvent::Accept:
       R.Ok = true;
       Finish();
       return R;
 
-    case ActionType::Error:
+    case StepEvent::NoAction:
       // A parse error on well-formed input is a syntactic block (§6.2.2):
       // the machine description cannot continue this viable prefix.
-      Blocked(BlockReport::Cause::NoAction,
-              Pos < N ? Input[Pos].Term : "$end");
+      Blocked(BlockReport::Cause::NoAction, LookaheadName());
+      return R;
+
+    case StepEvent::DepthCap:
+      // Cap hit: pathological input (or an injected fault) must degrade
+      // into a reportable block, not unbounded growth.
+      ++NumCapHits;
+      Blocked(BlockReport::Cause::DepthCap, LookaheadName());
       return R;
     }
   }

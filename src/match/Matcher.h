@@ -12,9 +12,11 @@
 /// running one semantic action per reduction in the provably correct
 /// (bottom-up, left-to-right) order.
 ///
-/// Reduce/reduce ties among equally long rules are decided dynamically via
-/// the DynamicChooser hook, mirroring the paper's "choose among them
-/// dynamically using semantic attributes".
+/// One SLR step is lrStep() below. Matcher::match and the fuzzer's table
+/// simulator (fuzz/TableSim.h) are both loops over it that only record
+/// what each step did. A reduce/reduce tie the table constructor deferred
+/// to match time always takes the table's default production; the step
+/// reports the tie so coverage and the profiler can attribute it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,10 +28,8 @@
 #include "support/Deadline.h"
 #include "tablegen/Packing.h"
 
-#include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace gg {
@@ -50,6 +50,8 @@ struct BlockReport {
     NoAction,        ///< no action for (state, lookahead): a description gap
     UnknownTerminal, ///< the input token is not a grammar terminal at all
     MissingGoto,     ///< no goto after a reduce (corrupt or stale tables)
+    Underflow,       ///< a reduce pops more states than the stack holds
+                     ///< (corrupt or stale tables)
     DepthCap,        ///< the configured parse-stack depth cap was exceeded
     Budget           ///< the request's RequestBudget stopped the parse
                      ///< (BudgetWhy says why); never recovered via fallback
@@ -88,10 +90,71 @@ struct MatcherOptions {
   size_t MaxStackDepth = 10000;
 };
 
-/// Chooses among reduce candidates (first entry is the statically
-/// preferred production). Returns the production id to reduce by.
-using DynamicChooser =
-    std::function<int(int State, const std::vector<int> &Candidates)>;
+/// What one SLR step did (see lrStep).
+struct StepEvent {
+  enum Outcome : uint8_t {
+    Shift,       ///< pushed the shift target; the lookahead is consumed
+    Reduce,      ///< popped the rule's right-hand side, pushed the goto
+    Accept,      ///< the parse is complete
+    NoAction,    ///< no action for (State, lookahead): a syntactic block
+    MissingGoto, ///< reduced, but no goto for the rule's left-hand side
+    Underflow,   ///< the rule's right-hand side is deeper than the stack
+    DepthCap     ///< the stack already exceeded the depth cap
+  };
+  Outcome Kind = NoAction;
+  int State = -1;   ///< the acting state: the stack top before the step
+  int Prod = -1;    ///< production for Reduce, MissingGoto and Underflow
+  int Pushed = -1;  ///< state pushed by Shift or Reduce
+  bool Tie = false; ///< the reduce is a deferred reduce/reduce tie point
+};
+
+/// Performs one SLR step (§3.3) on the state stack \p Stack under the
+/// lookahead \p TermIdx: the depth-cap check, the action lookup, then the
+/// shift or the reduce. A reduce probes the tie point before the goto
+/// lookup, so a tie is reported even when the goto then fails. The stack
+/// is left popped on MissingGoto and unchanged on every other failure.
+inline StepEvent lrStep(const Grammar &G, const PackedTables &T,
+                        std::vector<int> &Stack, int TermIdx,
+                        size_t DepthCap) {
+  StepEvent E;
+  E.State = Stack.back();
+  if (Stack.size() > DepthCap) {
+    E.Kind = StepEvent::DepthCap;
+    return E;
+  }
+  const Action A = T.actionAt(E.State, TermIdx);
+  switch (A.Kind) {
+  case ActionType::Shift:
+    E.Kind = StepEvent::Shift;
+    E.Pushed = A.Target;
+    Stack.push_back(A.Target);
+    return E;
+  case ActionType::Accept:
+    E.Kind = StepEvent::Accept;
+    return E;
+  case ActionType::Error:
+    E.Kind = StepEvent::NoAction;
+    return E;
+  case ActionType::Reduce:
+    break;
+  }
+  E.Prod = A.Target;
+  E.Tie = T.dynChoicesAt(E.State, TermIdx) != nullptr;
+  const Production &P = G.prod(E.Prod);
+  if (Stack.size() <= P.Rhs.size()) {
+    E.Kind = StepEvent::Underflow;
+    return E;
+  }
+  Stack.resize(Stack.size() - P.Rhs.size());
+  E.Pushed = T.gotoAt(Stack.back(), G.ntIndex(P.Lhs));
+  if (E.Pushed < 0) {
+    E.Kind = StepEvent::MissingGoto;
+    return E;
+  }
+  E.Kind = StepEvent::Reduce;
+  Stack.push_back(E.Pushed);
+  return E;
+}
 
 /// A reusable matcher bound to one grammar and its packed tables. After
 /// construction a Matcher is immutable: match() touches only const state
@@ -113,7 +176,6 @@ public:
   /// stop surfaces as Cause::Budget, which the degradation ladder treats
   /// as non-recoverable (no PCC fallback: fail fast, free the worker).
   MatchResult match(const std::vector<LinToken> &Input,
-                    const DynamicChooser &Chooser = nullptr,
                     RequestBudget *Budget = nullptr) const;
 
   const Grammar &grammar() const { return G; }
@@ -123,12 +185,6 @@ private:
   const Grammar &G;
   const PackedTables &T;
   MatcherOptions Opts;
-  /// Terminal name -> dense terminal index, built eagerly at construction
-  /// (the grammar is frozen) so match() needs no mutable lookup cache.
-  std::unordered_map<std::string, int> TermIndex;
-
-  /// Terminal index for a token name, or -1 if the grammar lacks it.
-  int termIndexFor(const std::string &Name) const;
 };
 
 /// Renders the Appendix-style action listing for a match: one line per

@@ -97,6 +97,12 @@ public:
   /// a non-terminal among non-terminals. Built lazily by freeze().
   int termIndex(SymId S) const { return DenseIndex[S]; }
   int ntIndex(SymId S) const { return DenseIndex[S]; }
+  /// Dense index of the terminal named \p Name, or -1 if the grammar has
+  /// no such terminal. Requires a frozen grammar.
+  int termIndexOf(const std::string &Name) const {
+    SymId S = lookup(Name);
+    return S >= 0 && isTerminal(S) ? termIndex(S) : -1;
+  }
   const std::vector<SymId> &terminals() const { return TermIds; }
   const std::vector<SymId> &nonterminals() const { return NontermIds; }
   size_t numTerminals() const { return TermIds.size(); }

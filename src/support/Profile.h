@@ -22,13 +22,16 @@
 /// Two modes behind one `--profile=` flag:
 ///   * instr — instrumented attribution. Each matcher step charges a
 ///     profTicks() delta (rdtsc on x86-64) to the acting state; reduce
-///     steps additionally charge the production, and deferred
-///     reduce/reduce ties charge the chooser's share to the (state,
-///     terminal) dyn point. Phase scopes charge the code generator's
-///     phases. Per-table-region buckets are derived from the per-state
-///     buckets at snapshot time (region = RegionSize consecutive states
-///     of the packed action/goto tables), so regions cost nothing on the
-///     hot path.
+///     steps additionally charge the production, and a reduce at a
+///     deferred reduce/reduce tie charges the dyn point (state, terminal)
+///     with the time from the previous step's end to the tie timestamp.
+///     In the cycles timebase that covers the lookahead's terminal lookup
+///     and the whole lrStep(): action lookup, tie probe, pop and goto
+///     (under steps it is one tick). Phase scopes charge the code
+///     generator's phases. Per-table-region buckets are derived from the
+///     per-state buckets at snapshot time (region = RegionSize consecutive
+///     states of the packed action/goto tables), so regions cost nothing
+///     on the hot path.
 ///   * perf — instr plus hardware counters via perf_event_open (cycles,
 ///     instructions, L1d/LLC misses, branch mispredicts), sampled at
 ///     phase-scope boundaries per thread and summed per phase. When the

@@ -8,9 +8,9 @@
 /// The parse tables driving the instruction pattern matcher: an action
 /// table (shift / reduce / accept / error) indexed by state and terminal,
 /// and a goto table indexed by state and non-terminal. Reduce/reduce
-/// conflicts among equally long rules are resolved *dynamically* by the
-/// matcher using semantic attributes (paper section 3.2); the candidate
-/// lists live in DynChoices.
+/// conflicts among equally long rules that the constructor cannot break
+/// statically are deferred to match time (paper section 3.2); the
+/// candidate lists live in DynChoices.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,8 +44,9 @@ struct LRTables {
   std::vector<Action> Actions; ///< NumStates x NumTerms, row major
   std::vector<int32_t> Gotos;  ///< NumStates x NumNonterms; -1 = error
   /// (state, termIndex) -> additional reduce candidates when the static
-  /// tie could not be broken; the matcher chooses among [chosen]+these
-  /// using semantic attributes.
+  /// tie could not be broken. The matcher takes the action's default
+  /// production; these lists mark the tie points for coverage, the cost
+  /// profiler and the fuzzer.
   std::unordered_map<uint64_t, std::vector<int>> DynChoices;
 
   static uint64_t dynKey(int State, int TermIdx) {

@@ -188,6 +188,9 @@ TEST(Parser, Diagnostics) {
   expectError("int main() { register int r; r++ += 2; return 0; }",
               "lvalue");
   expectError("int main() { int **p; return 0; }", "multi-level");
+  expectError("int main() { int i; int j; int k;\n"
+              "  for (i = 0; i < 3; k i j += 1) { }\n  return 0; }",
+              "after for step");
 }
 
 TEST(Parser, ImplicitReturnZero) {

@@ -2,12 +2,17 @@
 
 #include "ir/Linearize.h"
 #include "frontend/Parser.h"
+#include "fuzz/TableSim.h"
 #include "match/Matcher.h"
+#include "support/Coverage.h"
 #include "mdl/SpecParser.h"
 #include "tablegen/TableBuilder.h"
 #include "workload/ProgramGen.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 using namespace gg;
 
@@ -34,18 +39,18 @@ Built buildFrom(const char *Spec) {
   return B;
 }
 
-TEST(MatcherExtra, DynamicChoiceHookSelectsAmongTies) {
-  // Two equally long reductions for the same input: Const_l can condense
-  // as either flavour; the static default is the earlier production, and
-  // the dynamic chooser can override it.
-  const char *Spec = R"(
+/// Two equally long reductions for the same input: Const_l can condense as
+/// either flavour, and the table constructor defers the tie to match time.
+const char *TwoFlavourSpec = R"(
 %start s
 s <- Assign_l flavA : emit useA
 s <- Assign_l flavB : emit useB
 flavA <- Const_l : encap a
 flavB <- Const_l : encap b
 )";
-  Built B = buildFrom(Spec);
+
+TEST(MatcherExtra, DeferredTieTakesTableDefault) {
+  Built B = buildFrom(TwoFlavourSpec);
 
   // There is a genuine reduce/reduce tie.
   bool SawDynamic = false;
@@ -70,17 +75,235 @@ flavB <- Const_l : encap b
     return "";
   };
 
+  // The static default is the earlier production.
   MatchResult Default = B.M->match(Input);
   ASSERT_TRUE(Default.Ok) << Default.Error;
   EXPECT_EQ(TagOfFirstEncap(Default), "a");
+}
 
-  // A chooser picking the larger production id flips the decision.
-  MatchResult Chosen = B.M->match(
-      Input, [](int, const std::vector<int> &Cands) {
-        return Cands.back();
-      });
-  ASSERT_TRUE(Chosen.Ok) << Chosen.Error;
-  EXPECT_EQ(TagOfFirstEncap(Chosen), "b");
+//===----------------------------------------------------------------------===//
+// lrStep: one case per step outcome, and the matcher and the table
+// simulator agreeing on the same tables.
+//===----------------------------------------------------------------------===//
+
+const char *AddSpec = R"(
+%start s
+s <- Plus_l r r : emit add
+r <- Const_l : encap c
+)";
+
+int prodTagged(const Grammar &G, const std::string &Tag) {
+  for (const Production &P : G.productions())
+    if (P.SemTag == Tag)
+      return P.Id;
+  ADD_FAILURE() << "no production tagged " << Tag;
+  return -1;
+}
+
+int term(const Grammar &G, const char *Name) {
+  int TI = G.termIndexOf(Name);
+  EXPECT_GE(TI, 0) << Name;
+  return TI;
+}
+
+/// Re-packs \p B's tables from the hand-edited dense copy \p Dense and
+/// rebinds its matcher to them.
+void repack(Built &B, const LRTables &Dense) {
+  B.P = std::make_unique<PackedTables>(PackedTables::pack(Dense));
+  B.M = std::make_unique<Matcher>(B.G, *B.P);
+}
+
+/// AddSpec with the goto on `r` after Plus_l removed; returns the state
+/// that Plus_l shifts to.
+int dropGotoAfterPlus(Built &B) {
+  LRTables Dense = B.R.Tables;
+  const int PlusState = Dense.actionAt(0, term(B.G, "Plus_l")).Target;
+  const int RIdx = B.G.ntIndex(B.G.lookup("r"));
+  Dense.Gotos[static_cast<size_t>(PlusState) * Dense.NumNonterms + RIdx] = -1;
+  repack(B, Dense);
+  return PlusState;
+}
+
+/// AddSpec with state 0 "reducing" the three-symbol rule on Plus_l, on a
+/// stack that holds only state 0; returns that rule.
+int reduceOnEmptyStack(Built &B) {
+  LRTables Dense = B.R.Tables;
+  const int AddProd = prodTagged(B.G, "add");
+  Dense.actionAt(0, term(B.G, "Plus_l")) = Action{ActionType::Reduce, AddProd};
+  repack(B, Dense);
+  return AddProd;
+}
+
+TEST(LrStep, ShiftReduceAccept) {
+  Built B = buildFrom(AddSpec);
+  const Grammar &G = B.G;
+  const int Plus = term(G, "Plus_l"), Con = term(G, "Const_l"),
+            Eof = G.termIndex(G.eofSymbol());
+  std::vector<int> Stack{0};
+
+  StepEvent E = lrStep(G, *B.P, Stack, Plus, 100);
+  EXPECT_EQ(E.Kind, StepEvent::Shift);
+  EXPECT_EQ(E.State, 0);
+  EXPECT_EQ(Stack, (std::vector<int>{0, E.Pushed}));
+  const int PlusState = E.Pushed;
+
+  E = lrStep(G, *B.P, Stack, Con, 100);
+  ASSERT_EQ(E.Kind, StepEvent::Shift);
+  EXPECT_EQ(E.State, PlusState);
+
+  // The second Const_l is the lookahead that reduces the first.
+  E = lrStep(G, *B.P, Stack, Con, 100);
+  ASSERT_EQ(E.Kind, StepEvent::Reduce);
+  EXPECT_EQ(E.Prod, prodTagged(G, "c"));
+  EXPECT_FALSE(E.Tie);
+  EXPECT_EQ(Stack.size(), 3u);
+  EXPECT_EQ(Stack[1], PlusState);
+  EXPECT_EQ(Stack.back(), E.Pushed);
+
+  ASSERT_EQ(lrStep(G, *B.P, Stack, Con, 100).Kind, StepEvent::Shift);
+  for (int Guard = 0; Guard < 8; ++Guard) {
+    E = lrStep(G, *B.P, Stack, Eof, 100);
+    if (E.Kind != StepEvent::Reduce)
+      break;
+  }
+  EXPECT_EQ(E.Kind, StepEvent::Accept);
+  // Accept changes nothing: the stack holds the start symbol's state.
+  std::vector<int> Before = Stack;
+  EXPECT_EQ(lrStep(G, *B.P, Stack, Eof, 100).Kind, StepEvent::Accept);
+  EXPECT_EQ(Stack, Before);
+}
+
+TEST(LrStep, NoActionLeavesStackUnchanged) {
+  Built B = buildFrom(AddSpec);
+  std::vector<int> Stack{0};
+  StepEvent E = lrStep(B.G, *B.P, Stack, term(B.G, "Const_l"), 100);
+  EXPECT_EQ(E.Kind, StepEvent::NoAction);
+  EXPECT_EQ(E.State, 0);
+  EXPECT_EQ(Stack, std::vector<int>{0});
+}
+
+TEST(LrStep, DepthCapChecksBeforeTheAction) {
+  Built B = buildFrom(AddSpec);
+  const int Plus = term(B.G, "Plus_l"), Con = term(B.G, "Const_l");
+  std::vector<int> Stack{0};
+  // A stack of exactly the cap may still step; one deeper may not.
+  ASSERT_EQ(lrStep(B.G, *B.P, Stack, Plus, 1).Kind, StepEvent::Shift);
+  std::vector<int> Before = Stack;
+  StepEvent E = lrStep(B.G, *B.P, Stack, Con, 1);
+  EXPECT_EQ(E.Kind, StepEvent::DepthCap);
+  EXPECT_EQ(E.State, Before.back());
+  EXPECT_EQ(Stack, Before);
+
+  // The matcher reports the same outcome through its configured cap.
+  Matcher Capped(B.G, *B.P, MatcherOptions{1});
+  std::vector<LinToken> Input{{"Plus_l", nullptr}, {"Const_l", nullptr}};
+  MatchResult MR = Capped.match(Input);
+  ASSERT_TRUE(MR.Block);
+  EXPECT_EQ(MR.Block->Why, BlockReport::Cause::DepthCap);
+  EXPECT_EQ(MR.Block->TokenPos, 1u);
+}
+
+TEST(LrStep, MissingGotoLeavesStackPopped) {
+  Built B = buildFrom(AddSpec);
+  const int Plus = term(B.G, "Plus_l"), Con = term(B.G, "Const_l");
+  const int PlusState = dropGotoAfterPlus(B);
+
+  std::vector<int> Stack{0};
+  ASSERT_EQ(lrStep(B.G, *B.P, Stack, Plus, 100).Kind, StepEvent::Shift);
+  ASSERT_EQ(lrStep(B.G, *B.P, Stack, Con, 100).Kind, StepEvent::Shift);
+  StepEvent E = lrStep(B.G, *B.P, Stack, Con, 100);
+  EXPECT_EQ(E.Kind, StepEvent::MissingGoto);
+  EXPECT_EQ(E.Prod, prodTagged(B.G, "c"));
+  EXPECT_EQ(Stack, (std::vector<int>{0, PlusState}));
+}
+
+TEST(LrStep, UnderflowLeavesStackUnchanged) {
+  Built B = buildFrom(AddSpec);
+  const int AddProd = reduceOnEmptyStack(B);
+  std::vector<int> Stack{0};
+  StepEvent E = lrStep(B.G, *B.P, Stack, term(B.G, "Plus_l"), 100);
+  EXPECT_EQ(E.Kind, StepEvent::Underflow);
+  EXPECT_EQ(E.Prod, AddProd);
+  EXPECT_EQ(Stack, std::vector<int>{0});
+}
+
+TEST(LrStep, TieFlagMarksTheDeferredReduce) {
+  Built B = buildFrom(TwoFlavourSpec);
+  const Grammar &G = B.G;
+  std::vector<int> Stack{0};
+  EXPECT_FALSE(lrStep(G, *B.P, Stack, term(G, "Assign_l"), 100).Tie);
+  EXPECT_FALSE(lrStep(G, *B.P, Stack, term(G, "Const_l"), 100).Tie);
+  StepEvent E = lrStep(G, *B.P, Stack, G.termIndex(G.eofSymbol()), 100);
+  ASSERT_EQ(E.Kind, StepEvent::Reduce);
+  EXPECT_TRUE(E.Tie);
+  EXPECT_EQ(E.Prod, prodTagged(G, "a")); // the table default
+  EXPECT_NE(B.P->dynChoicesAt(E.State, G.termIndex(G.eofSymbol())), nullptr);
+}
+
+/// Runs \p Names through the real Matcher (observed via the coverage
+/// registry) and through TableSim on the same tables, and checks that both
+/// report the same reductions, state visits, tie points and verdict.
+void expectMatcherAgreesWithSim(const Built &B,
+                                const std::vector<std::string> &Names) {
+  SCOPED_TRACE(::testing::PrintToString(Names));
+  std::vector<LinToken> Input;
+  std::vector<int> Idxs;
+  for (const std::string &N : Names) {
+    Input.push_back({N, nullptr});
+    Idxs.push_back(B.G.termIndexOf(N));
+  }
+  coverage().enable();
+  coverage().reset();
+  const MatchResult MR = B.M->match(Input);
+  const CoverageSnapshot Cov = coverage().snapshot();
+  const SimTrace Tr = TableSim(B.G, *B.P).run(Idxs);
+
+  EXPECT_EQ(MR.Ok, Tr.Accepted) << MR.Error << " / " << Tr.Error;
+  // The matcher lists completed reduces; the simulator also lists one
+  // whose goto failed. Both order them the same way.
+  std::vector<int> Reduces;
+  for (const MatchStep &S : MR.Steps)
+    if (S.Kind == MatchStep::Reduce)
+      Reduces.push_back(S.ProdId);
+  ASSERT_LE(Reduces.size(), Tr.Reduces.size());
+  EXPECT_EQ(Reduces, std::vector<int>(Tr.Reduces.begin(),
+                                      Tr.Reduces.begin() + Reduces.size()));
+
+  auto Counts = [](const std::vector<int> &Ids) {
+    std::map<int, uint64_t> M;
+    for (int I : Ids)
+      ++M[I];
+    return M;
+  };
+  EXPECT_EQ(Cov.ProdHits, Counts(Tr.Reduces));
+  EXPECT_EQ(Cov.StateHits, Counts(Tr.States));
+  std::set<std::pair<int, int>> Consulted(Tr.DynConsults.begin(),
+                                          Tr.DynConsults.end());
+  std::set<std::pair<int, int>> Hit;
+  for (const auto &[Point, Hits] : Cov.Dyn)
+    Hit.insert(Point);
+  EXPECT_EQ(Hit, Consulted);
+}
+
+TEST(LrStep, MatcherAndTableSimAgree) {
+  Built Add = buildFrom(AddSpec);
+  expectMatcherAgreesWithSim(Add, {"Plus_l", "Const_l", "Const_l"});
+  expectMatcherAgreesWithSim(Add, {"Plus_l", "Const_l"});
+  expectMatcherAgreesWithSim(Add, {"Const_l"});
+
+  Built Tie = buildFrom(TwoFlavourSpec);
+  expectMatcherAgreesWithSim(Tie, {"Assign_l", "Const_l"});
+
+  Built NoGoto = buildFrom(AddSpec);
+  dropGotoAfterPlus(NoGoto);
+  expectMatcherAgreesWithSim(NoGoto, {"Plus_l", "Const_l", "Const_l"});
+
+  Built Under = buildFrom(AddSpec);
+  reduceOnEmptyStack(Under);
+  expectMatcherAgreesWithSim(Under, {"Plus_l", "Const_l", "Const_l"});
+  MatchResult MR = Under.M->match({{"Plus_l", nullptr}});
+  ASSERT_TRUE(MR.Block);
+  EXPECT_EQ(MR.Block->Why, BlockReport::Cause::Underflow);
 }
 
 TEST(MatcherExtra, UnknownTerminalReported) {

@@ -441,13 +441,13 @@ void ProfileReport::print(int Top) const {
   printHotCells("states", Prof.States, Top, /*IsState=*/true);
   printHotCells("productions", Prof.Prods, Top, /*IsState=*/false);
 
-  // Dyn-tie points by chooser cost.
+  // Dyn-tie points by the cost charged to their tie steps.
   std::vector<std::pair<uint64_t, std::pair<int, int>>> DynHot;
   for (const auto &[Key, C] : Prof.Dyn)
     DynHot.push_back({C.Ticks, Key});
   std::sort(DynHot.begin(), DynHot.end(),
             [](const auto &A, const auto &B) { return A.first > B.first; });
-  printf("\n  hot dyn-tie points (top %d of %zu, by chooser cost):\n", Top,
+  printf("\n  hot dyn-tie points (top %d of %zu, by tie-step cost):\n", Top,
          DynHot.size());
   for (size_t I = 0; I < DynHot.size() && I < static_cast<size_t>(Top); ++I) {
     const auto &[State, Term] = DynHot[I].second;
