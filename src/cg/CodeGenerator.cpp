@@ -9,7 +9,6 @@
 #include "support/Profile.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <memory>
@@ -69,9 +68,8 @@ struct FunctionResult {
   std::string TraceText;
   bool Ok = true;
   std::string Err;
-  double MatchSeconds = 0;
-  double GenSeconds = 0;
-  double EmitInGen = 0; ///< phase-4 time nested inside the GenT scope
+  PhaseTimes Times;
+  double EmitInGen = 0; ///< phase-4 time nested inside the replay scopes
   size_t StatementTrees = 0;
   size_t MatcherTokens = 0;
   size_t MatcherSteps = 0;
@@ -114,7 +112,8 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
                         FunctionResult &R) {
   TraceSpan FnSpan("cg.function " + Prog.Syms.text(F.Name));
   AsmEmitter &Emit = *R.Emit;
-  Timer MatchT, GenT;
+  static auto &NumBlocked = gg::stats().counter("cg.blocked_trees");
+  static auto &NumRecovered = gg::stats().counter("cg.recovered_trees");
   // Worker-private arena: Ret/CallStmt copy trees and the fallback
   // generator's splitter temporaries must not contend on the program's
   // shared arena while other workers compile. The request budget's byte
@@ -141,7 +140,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // its worker on the slower path.
     if (Opts.Budget && Opts.Budget->shouldStop(0)) {
       ++R.BlockedTrees;
-      ++gg::stats().counter("cg.blocked_trees");
+      ++NumBlocked;
       R.Err = strf("request budget exhausted (%s) before tree: %s",
                    budgetStopName(Opts.Budget->Stopped.load(
                        std::memory_order_relaxed)),
@@ -153,7 +152,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       if (Opts.Budget)
         Opts.Budget->stop(BudgetStop::Memory);
       ++R.BlockedTrees;
-      ++gg::stats().counter("cg.blocked_trees");
+      ++NumBlocked;
       R.Err = strf("node arena byte budget exhausted (%zu bytes) before "
                    "tree: %s",
                    LocalArena.bytes(),
@@ -168,15 +167,12 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // rolled back wholesale before the fallback path runs.
     AsmEmitter::Mark TreeMark = Emit.mark();
     {
-      TimerScope TS(MatchT);
-      {
-        ProfilePhaseScope PS(ProfPhase::Linearize);
-        Input = linearize(Tree);
-      }
-      if (Opts.Budget)
-        Opts.Budget->setPhase(RequestPhase::Match);
-      flightRecord(FlightKind::PhaseMatch,
-                   static_cast<int64_t>(Input.size()));
+      PhaseScope PS(PipelinePhase::Linearize, Opts.Budget, 0, &R.Times);
+      Input = linearize(Tree);
+    }
+    {
+      PhaseScope PS(PipelinePhase::Match, Opts.Budget,
+                    static_cast<int64_t>(Input.size()), &R.Times);
       // truncate-input fault: models a phase-1/linearizer bug. A proper
       // prefix of a prefix linearization can never parse to completion,
       // so the matcher blocks instead of accepting a wrong parse. The
@@ -185,7 +181,6 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       Input.resize(
           faultInject().truncatedInputSize(Input.size(), TreeOrdinal++));
       R.MatcherTokens += Input.size();
-      ProfilePhaseScope PS(ProfPhase::Match);
       MR = Target.matcher().match(Input, Opts.Budget);
     }
     std::string TreeErr;
@@ -197,13 +192,8 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
         R.TraceText += renderTrace(Target.grammar(), Input, MR, Prog.Syms);
         R.TraceText += "\n";
       }
-      if (Opts.Budget)
-        Opts.Budget->setPhase(RequestPhase::Replay);
-      flightRecord(FlightKind::PhaseReplay,
-                   static_cast<int64_t>(MR.Steps.size()));
-      TimerScope TS(GenT);
-      TraceSpan ReplaySpan("cg.replay");
-      ProfilePhaseScope PS(ProfPhase::Replay);
+      PhaseScope PS(PipelinePhase::Replay, Opts.Budget,
+                    static_cast<int64_t>(MR.Steps.size()), &R.Times);
       double EmitBefore = Emit.emitSeconds();
       std::string SemErr;
       TreeOk = Sem.replay(Target.grammar(), Input, MR.Steps, SemErr);
@@ -224,7 +214,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // not kill the module. Discard the tree's partial output and
     // per-statement state, then regenerate it through the PCC baseline.
     ++R.BlockedTrees;
-    ++gg::stats().counter("cg.blocked_trees");
+    ++NumBlocked;
     flightRecord(FlightKind::Block,
                  MR.Block ? static_cast<int64_t>(MR.Block->State) : -1);
     if (MR.Block && MR.Block->Why == BlockReport::Cause::Budget) {
@@ -243,12 +233,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
         strf("recovering via the baseline generator: %s", TreeErr.c_str()));
     DiagnosticSink FallbackDiags;
     {
-      if (Opts.Budget)
-        Opts.Budget->setPhase(RequestPhase::Fallback);
-      flightRecord(FlightKind::PhaseFallback);
-      TimerScope TS(GenT);
-      TraceSpan FallbackSpan("cg.fallback");
-      ProfilePhaseScope PS(ProfPhase::Fallback);
+      PhaseScope PS(PipelinePhase::Fallback, Opts.Budget, 0, &R.Times);
       if (!pccGenStatement(Prog, F, Tree, Emit, FallbackDiags, &LocalArena)) {
         // Bottom of the ladder: a module-level diagnostic, never
         // process death — the caller decides what to do with it.
@@ -262,7 +247,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // Spliced code clobbers condition codes behind the CC tracker's back.
     Sem.invalidateCC();
     ++R.RecoveredTrees;
-    ++gg::stats().counter("cg.recovered_trees");
+    ++NumRecovered;
     ++R.StatementTrees;
     return true;
   };
@@ -321,8 +306,6 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
 
   R.Regs = Sem.regStats();
   R.Idioms = Sem.idiomStats();
-  R.MatchSeconds = MatchT.seconds();
-  R.GenSeconds = GenT.seconds();
 }
 
 } // namespace
@@ -356,13 +339,12 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   touchSchemaKeys();
   coverage().noteCompile();
   profile().noteCompile();
-  // cg.total is wall time across the parallel region; wall-only scopes
-  // no-op under the deterministic steps timebase (support/Profile.h).
-  ProfilePhaseScope TotalScope(ProfPhase::Total, /*WallOnly=*/true);
-  TraceSpan CompileSpan("cg.compile");
+  // cg.total is wall time across the parallel region; it is wall-only,
+  // so it no-ops under the deterministic steps timebase.
+  PhaseScope TotalScope(PipelinePhase::Total);
   AsmEmitter Emit(Prog.Syms);
   Emit.setExplain(Opts.Explain);
-  Timer TransformT;
+  PhaseTimes Times;
 
   emitDataSection(Prog, Emit);
   Emit.directive(".text");
@@ -375,12 +357,8 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   // construction; canonicalization would rewrite them away from the
   // productions they were built to exercise.
   if (!Opts.Transform.RawTrees) {
-    if (Opts.Budget)
-      Opts.Budget->setPhase(RequestPhase::Transform);
-    flightRecord(FlightKind::PhaseTransform,
-                 static_cast<int64_t>(Prog.Functions.size()));
-    TimerScope TS(TransformT);
-    ProfilePhaseScope PS(ProfPhase::Transform);
+    PhaseScope PS(PipelinePhase::Transform, Opts.Budget,
+                  static_cast<int64_t>(Prog.Functions.size()), &Times);
     for (Function &F : Prog.Functions) {
       TransformStats TF = runPhase1(Prog, F, Opts.Transform);
       Stats.Transform.CondBranchRewrites += TF.CondBranchRewrites;
@@ -444,10 +422,8 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   // with diagnostics merged up to and including it (serial semantics).
   // The stitch scope runs to function exit: append + peephole + final
   // render are all serial post-join work.
-  if (Opts.Budget)
-    Opts.Budget->setPhase(RequestPhase::Stitch);
-  flightRecord(FlightKind::PhaseStitch, static_cast<int64_t>(NumFns));
-  ProfilePhaseScope StitchScope(ProfPhase::Stitch);
+  PhaseScope StitchScope(PipelinePhase::Stitch, Opts.Budget,
+                         static_cast<int64_t>(NumFns));
   double WorkerEmitSeconds = 0;
   StatsRegistry &Reg = gg::stats();
   for (size_t I = 0; I < NumFns; ++I) {
@@ -458,8 +434,11 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
       return false;
     }
     Trace += R.TraceText;
-    Stats.MatchSeconds += R.MatchSeconds;
-    Stats.InstrGenSeconds += std::max(0.0, R.GenSeconds - R.EmitInGen);
+    Stats.MatchSeconds += R.Times[PipelinePhase::Linearize] +
+                          R.Times[PipelinePhase::Match];
+    Stats.InstrGenSeconds +=
+        std::max(0.0, R.Times[PipelinePhase::Replay] +
+                          R.Times[PipelinePhase::Fallback] - R.EmitInGen);
     Stats.StatementTrees += R.StatementTrees;
     Stats.MatcherTokens += R.MatcherTokens;
     Stats.MatcherSteps += R.MatcherSteps;
@@ -486,7 +465,7 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   if (Opts.Peephole)
     Stats.Peephole = runPeephole(Emit.linesMutable());
 
-  Stats.TransformSeconds = TransformT.seconds();
+  Stats.TransformSeconds = Times[PipelinePhase::Transform];
   // Figure-2 accounting: phase 3 is replay time minus the output
   // formatting nested inside it; phase 4 is all formatting (operands,
   // prologue/data directives, final text rendering). With Threads > 1

@@ -15,7 +15,8 @@
 ///
 /// Per-phase wall-clock accounting reproduces the paper's observation
 /// that "roughly one half the code generation time is spent in the
-/// pattern matching phase" (experiment E5).
+/// pattern matching phase" (experiment E5). Each phase boundary is one
+/// PhaseScope (support/Profile.h) feeding every telemetry sink.
 ///
 /// Phases 2-4 are embarrassingly parallel across functions: the SLR
 /// tables and instruction table are immutable once built, and all
@@ -76,10 +77,12 @@ struct CodeGenOptions {
 /// Aggregate statistics for one compile() call. The four Seconds fields
 /// are the paper's Figure-2 phases and are disjoint: instruction
 /// generation excludes the output formatting it is interleaved with,
-/// which is charged to EmitSeconds instead.
+/// which is charged to EmitSeconds instead. The first three sum the
+/// PhaseScope wall times of the profile phases named below.
 struct CodeGenStats {
-  double TransformSeconds = 0;
-  double MatchSeconds = 0;
+  double TransformSeconds = 0; ///< cg.transform
+  double MatchSeconds = 0;     ///< cg.linearize + cg.match
+  /// cg.replay + cg.fallback, minus the phase-4 time nested in replay.
   double InstrGenSeconds = 0;
   double EmitSeconds = 0; ///< phase 4: operand formatting + text rendering
   size_t StatementTrees = 0;

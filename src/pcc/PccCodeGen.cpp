@@ -6,7 +6,6 @@
 #include "support/Error.h"
 #include "support/Profile.h"
 #include "support/Strings.h"
-#include "support/Timer.h"
 #include "vax/Emitter.h"
 #include "vax/Operand.h"
 
@@ -566,46 +565,46 @@ private:
 bool PccCodeGenerator::compile(Program &Prog, std::string &Asm,
                                std::string &Err) {
   Stats = PccStats();
-  // The whole baseline compile is one profile phase: the --diff-pcc leg
-  // compares it against the GG side's per-phase breakdown.
-  ProfilePhaseScope PS(ProfPhase::PccCompile);
   profile().noteCompile();
-  Timer T;
-  T.start();
-  AsmEmitter Emit(Prog.Syms);
-  emitDataSection(Prog, Emit);
-  Emit.directive(".text");
+  PhaseTimes Times;
+  {
+    // The whole baseline compile is one phase: the --diff-pcc leg
+    // compares it against the GG side's per-phase breakdown.
+    PhaseScope PS(PipelinePhase::PccCompile, nullptr, 0, &Times);
+    AsmEmitter Emit(Prog.Syms);
+    emitDataSection(Prog, Emit);
+    Emit.directive(".text");
 
-  for (Function &F : Prog.Functions) {
-    // Shared target-independent lowering (phase 1a only); the baseline
-    // does its own ordering and spill prevention.
-    TransformOptions TO;
-    TO.Reorder = false;
-    TO.ReverseOps = false;
-    TO.PreventSpills = false;
-    runPhase1(Prog, F, TO);
-    Stats.StatementTrees += F.Body.size();
+    for (Function &F : Prog.Functions) {
+      // Shared target-independent lowering (phase 1a only); the baseline
+      // does its own ordering and spill prevention.
+      TransformOptions TO;
+      TO.Reorder = false;
+      TO.ReverseOps = false;
+      TO.PreventSpills = false;
+      runPhase1(Prog, F, TO);
+      Stats.StatementTrees += F.Body.size();
 
-    Emit.blank();
-    Emit.directive(strf(".globl %s", Prog.Syms.text(F.Name).c_str()));
-    Emit.labelText(Prog.Syms.text(F.Name));
-    Emit.directive(".word 0x0fc0");
-    size_t PrologueLine = Emit.lines().size();
-    Emit.instRaw("subl2", {"$FRAME", "sp"});
+      Emit.blank();
+      Emit.directive(strf(".globl %s", Prog.Syms.text(F.Name).c_str()));
+      Emit.labelText(Prog.Syms.text(F.Name));
+      Emit.directive(".word 0x0fc0");
+      size_t PrologueLine = Emit.lines().size();
+      Emit.instRaw("subl2", {"$FRAME", "sp"});
 
-    DiagnosticSink Diags;
-    PccFunctionGen Gen(Prog, F, Emit, Diags);
-    if (!Gen.run()) {
-      Err = Diags.renderAll();
-      return false;
+      DiagnosticSink Diags;
+      PccFunctionGen Gen(Prog, F, Emit, Diags);
+      if (!Gen.run()) {
+        Err = Diags.renderAll();
+        return false;
+      }
+      Emit.patchLine(PrologueLine, strf("\tsubl2\t$%d,sp", F.FrameSize));
     }
-    Emit.patchLine(PrologueLine, strf("\tsubl2\t$%d,sp", F.FrameSize));
+    Stats.Instructions = Emit.instructionCount();
+    Asm += Emit.text();
+    Stats.AsmLines = Emit.lineCount();
   }
-  T.stop();
-  Stats.Seconds = T.seconds();
-  Stats.Instructions = Emit.instructionCount();
-  Asm += Emit.text();
-  Stats.AsmLines = Emit.lineCount();
+  Stats.Seconds = Times[PipelinePhase::PccCompile];
   return true;
 }
 

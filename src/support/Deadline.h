@@ -30,6 +30,7 @@
 #define GG_SUPPORT_DEADLINE_H
 
 #include "support/Clock.h"
+#include "support/Phase.h"
 
 #include <atomic>
 #include <cstddef>
@@ -68,41 +69,6 @@ inline const char *budgetStopName(BudgetStop S) {
   return "none";
 }
 
-/// Where an in-flight request currently is, published by the pipeline
-/// for live introspection (the Status snapshot's per-request "phase"
-/// field, docs/server.md). Monotone per request except Fallback, which
-/// can interleave with Match/Replay per tree.
-enum class RequestPhase : uint8_t {
-  Queued = 0,  ///< admitted, not yet picked up by a worker
-  Transform,   ///< phase 1: tree transformation
-  Match,       ///< phase 2: pattern matching
-  Replay,      ///< phases 3-4: instruction generation + emit
-  Fallback,    ///< PCC baseline regeneration of a blocked tree
-  Stitch,      ///< per-function streams being stitched
-  Responding,  ///< handler returned; response being written
-};
-
-/// Returns a stable lowercase name for \p P ("queued", "match", ...).
-inline const char *requestPhaseName(RequestPhase P) {
-  switch (P) {
-  case RequestPhase::Queued:
-    return "queued";
-  case RequestPhase::Transform:
-    return "transform";
-  case RequestPhase::Match:
-    return "match";
-  case RequestPhase::Replay:
-    return "replay";
-  case RequestPhase::Fallback:
-    return "fallback";
-  case RequestPhase::Stitch:
-    return "stitch";
-  case RequestPhase::Responding:
-    return "responding";
-  }
-  return "queued";
-}
-
 /// Limits and live usage for one compile request. Zero limit = unlimited.
 struct RequestBudget {
   /// Cooperative cancellation flag; set by the watchdog at the deadline
@@ -122,12 +88,13 @@ struct RequestBudget {
   std::atomic<uint64_t> StepsUsed{0};
   /// First stop cause, sticky once set.
   std::atomic<BudgetStop> Stopped{BudgetStop::None};
-  /// Current pipeline phase, published by the code generator and read by
-  /// the Status snapshot while the request is in flight.
-  std::atomic<RequestPhase> Phase{RequestPhase::Queued};
+  /// Where the request is, for the Status snapshot (docs/server.md): the
+  /// server publishes Queued and Responding, PhaseScopes the rest.
+  /// Monotone except Fallback, which interleaves with Match/Replay.
+  std::atomic<PipelinePhase> Phase{PipelinePhase::Queued};
 
   /// Publishes the current phase (relaxed; introspection is advisory).
-  void setPhase(RequestPhase P) {
+  void setPhase(PipelinePhase P) {
     Phase.store(P, std::memory_order_relaxed);
   }
 

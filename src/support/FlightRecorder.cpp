@@ -32,7 +32,7 @@ struct Event {
   uint64_t Gen = 0;
   int64_t Arg = 0;
   uint32_t Tid = 0;
-  uint8_t Kind = 0;
+  const char *Kind = nullptr; ///< the dump's `kind`: a static string
 };
 
 struct Ring {
@@ -58,7 +58,7 @@ uint64_t monoNs() {
          static_cast<uint64_t>(TS.tv_nsec);
 }
 
-void record(FlightKind K, uint64_t Req, uint64_t Gen, int64_t Arg) {
+void record(const char *Kind, uint64_t Req, uint64_t Gen, int64_t Arg) {
   if (MyRing == -2) {
     uint32_t I = RingCount.fetch_add(1, std::memory_order_relaxed);
     MyRing = I < MaxRings ? static_cast<int>(I) : -1;
@@ -75,7 +75,7 @@ void record(FlightKind K, uint64_t Req, uint64_t Gen, int64_t Arg) {
   E.Gen = Gen;
   E.Arg = Arg;
   E.Tid = MyTid;
-  E.Kind = static_cast<uint8_t>(K);
+  E.Kind = Kind;
   E.Seq.store(GlobalSeq.fetch_add(1, std::memory_order_relaxed) + 1,
               std::memory_order_release);
 }
@@ -89,7 +89,7 @@ struct Snap {
   uint64_t Seq, Ns, Req, Gen;
   int64_t Arg;
   uint32_t Tid;
-  uint8_t Kind;
+  const char *Kind;
 };
 
 /// Static scratch: the dumper is only ever entered by the dying (or
@@ -167,7 +167,7 @@ void heapSort(Snap *A, size_t N) {
 }
 
 void crashHandler(int Sig) {
-  record(FlightKind::CrashSignal, 0, 0, Sig);
+  record(flightKindName(FlightKind::CrashSignal), 0, 0, Sig);
   flightDump("crash-signal");
   // Restore the default disposition and re-raise so the process still
   // dies with the original signal (core dumps, wait status intact).
@@ -184,8 +184,6 @@ void quitHandler(int) {
 
 const char *gg::flightKindName(FlightKind K) {
   switch (K) {
-  case FlightKind::None:
-    return "none";
   case FlightKind::Admit:
     return "admit";
   case FlightKind::Dispatch:
@@ -202,16 +200,6 @@ const char *gg::flightKindName(FlightKind K) {
     return "reload";
   case FlightKind::Drain:
     return "drain";
-  case FlightKind::PhaseTransform:
-    return "phase-transform";
-  case FlightKind::PhaseMatch:
-    return "phase-match";
-  case FlightKind::PhaseReplay:
-    return "phase-replay";
-  case FlightKind::PhaseFallback:
-    return "phase-fallback";
-  case FlightKind::PhaseStitch:
-    return "phase-stitch";
   case FlightKind::Block:
     return "block";
   case FlightKind::CrashSignal:
@@ -222,12 +210,19 @@ const char *gg::flightKindName(FlightKind K) {
 
 void gg::flightRecord(FlightKind K, int64_t Arg) {
   RequestContext C = RequestScope::current();
-  record(K, C.Id, C.Generation, Arg);
+  record(flightKindName(K), C.Id, C.Generation, Arg);
+}
+
+void gg::flightRecord(PipelinePhase P, int64_t Arg) {
+  if (const char *Kind = phaseInfo(P).Flight) {
+    RequestContext C = RequestScope::current();
+    record(Kind, C.Id, C.Generation, Arg);
+  }
 }
 
 void gg::flightRecordFor(FlightKind K, uint64_t Req, uint64_t Gen,
                          int64_t Arg) {
-  record(K, Req, Gen, Arg);
+  record(flightKindName(K), Req, Gen, Arg);
 }
 
 void gg::flightSetDumpPath(const char *Path) {
@@ -290,7 +285,7 @@ void gg::flightDumpFd(int Fd, const char *Reason) {
     appendStr(Buf, Len, ",\"tid\":");
     appendU64(Buf, Len, S.Tid);
     appendStr(Buf, Len, ",\"kind\":\"");
-    appendStr(Buf, Len, flightKindName(static_cast<FlightKind>(S.Kind)));
+    appendStr(Buf, Len, S.Kind ? S.Kind : "none");
     appendStr(Buf, Len, "\",\"req\":");
     appendU64(Buf, Len, S.Req);
     appendStr(Buf, Len, ",\"gen\":");

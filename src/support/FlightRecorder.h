@@ -26,14 +26,17 @@
 #ifndef GG_SUPPORT_FLIGHTRECORDER_H
 #define GG_SUPPORT_FLIGHTRECORDER_H
 
+#include "support/Phase.h"
+
 #include <cstdint>
 
 namespace gg {
 
 /// What happened. Names (flightKindName) are the `kind` strings in the
-/// gg-flight-v1 dump; the `arg` field's meaning is per-kind.
+/// gg-flight-v1 dump; the `arg` field's meaning is per-kind. Pipeline
+/// phase events are named by the phase table instead (`phase-match`,
+/// ...; support/Phase.h).
 enum class FlightKind : uint8_t {
-  None = 0,        ///< unused slot
   Admit,           ///< request admitted; arg = queue depth after admit
   Dispatch,        ///< worker picked the request up; arg = queue wait ms
   Respond,         ///< response (or claim loss) published; arg = status
@@ -42,12 +45,7 @@ enum class FlightKind : uint8_t {
   WatchdogKill,    ///< watchdog abandoned a wedged worker; arg = ms late
   Reload,          ///< table image hot-swapped; arg = new generation
   Drain,           ///< graceful drain began
-  PhaseTransform,  ///< code-gen phase 1 started (per compile)
-  PhaseMatch,      ///< phases 2-4 started for one function
-  PhaseReplay,     ///< instruction replay started for one function
-  PhaseFallback,   ///< PCC fallback regeneration for one blocked tree
-  PhaseStitch,     ///< per-function streams being stitched (per compile)
-  Block,           ///< matcher block report; arg = BlockReport cause
+  Block,           ///< matcher block report; arg = blocked state (-1: none)
   CrashSignal,     ///< fatal signal caught; arg = signal number
 };
 
@@ -58,6 +56,10 @@ const char *flightKindName(FlightKind K);
 /// number, monotonic nanoseconds, thread id, the active RequestContext,
 /// and \p Arg. Lock-free and allocation-free; safe from pool workers.
 void flightRecord(FlightKind K, int64_t Arg = 0);
+
+/// Records the start of phase \p P under its phaseInfo() flight name
+/// (PhaseScope's sink); a phase without one records nothing.
+void flightRecord(PipelinePhase P, int64_t Arg);
 
 /// Same, with an explicit request identity — for recorders acting on
 /// another thread's behalf (the watchdog killing a worker's request).

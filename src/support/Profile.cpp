@@ -1,6 +1,8 @@
 //===- Profile.cpp - hot-path cost attribution over the tables ----------------===//
 
 #include "support/Profile.h"
+#include "support/Deadline.h"
+#include "support/FlightRecorder.h"
 #include "support/Json.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
@@ -20,30 +22,6 @@ using namespace gg;
 //===----------------------------------------------------------------------===//
 // Names and spec parsing
 //===----------------------------------------------------------------------===//
-
-const char *gg::profPhaseName(ProfPhase P) {
-  switch (P) {
-  case ProfPhase::Transform:
-    return "cg.transform";
-  case ProfPhase::Linearize:
-    return "cg.linearize";
-  case ProfPhase::Match:
-    return "cg.match";
-  case ProfPhase::Replay:
-    return "cg.replay";
-  case ProfPhase::Fallback:
-    return "cg.fallback";
-  case ProfPhase::Stitch:
-    return "cg.stitch";
-  case ProfPhase::Total:
-    return "cg.total";
-  case ProfPhase::PccCompile:
-    return "pcc.compile";
-  case ProfPhase::NumPhases:
-    break;
-  }
-  return "?";
-}
 
 static const char *modeName(ProfileMode M) {
   switch (M) {
@@ -209,20 +187,18 @@ void ProfileRegistry::chargeDyn(int State, int TermIdx, uint64_t Ticks) {
   ++C.Events;
 }
 
-void ProfileRegistry::chargePhase(ProfPhase P, uint64_t Ticks,
-                                  uint64_t Events) {
+void ProfileRegistry::chargePhase(PipelinePhase P, uint64_t Ticks,
+                                  const HwCounters *Hw) {
   PhaseAcc &A = PhaseAccs[static_cast<size_t>(P)];
   A.Ticks.fetch_add(Ticks, std::memory_order_relaxed);
-  A.Events.fetch_add(Events, std::memory_order_relaxed);
-}
-
-void ProfileRegistry::chargePhaseHw(ProfPhase P, const HwCounters &D) {
-  PhaseAcc &A = PhaseAccs[static_cast<size_t>(P)];
-  A.Cycles.fetch_add(D.Cycles, std::memory_order_relaxed);
-  A.Instructions.fetch_add(D.Instructions, std::memory_order_relaxed);
-  A.L1dMisses.fetch_add(D.L1dMisses, std::memory_order_relaxed);
-  A.LlcMisses.fetch_add(D.LlcMisses, std::memory_order_relaxed);
-  A.BranchMisses.fetch_add(D.BranchMisses, std::memory_order_relaxed);
+  A.Events.fetch_add(1, std::memory_order_relaxed);
+  if (!Hw)
+    return;
+  A.Cycles.fetch_add(Hw->Cycles, std::memory_order_relaxed);
+  A.Instructions.fetch_add(Hw->Instructions, std::memory_order_relaxed);
+  A.L1dMisses.fetch_add(Hw->L1dMisses, std::memory_order_relaxed);
+  A.LlcMisses.fetch_add(Hw->LlcMisses, std::memory_order_relaxed);
+  A.BranchMisses.fetch_add(Hw->BranchMisses, std::memory_order_relaxed);
 }
 
 void ProfileRegistry::sizeGrammar(size_t NumProds, size_t NumStates) {
@@ -285,13 +261,14 @@ ProfileSnapshot ProfileRegistry::snapshot() const {
     if (T | E)
       Out.Prods[static_cast<int>(I)] = {T, E};
   }
-  for (size_t P = 0; P < static_cast<size_t>(ProfPhase::NumPhases); ++P) {
+  for (size_t P = 0; P < NumPipelinePhases; ++P) {
     const PhaseAcc &A = PhaseAccs[P];
     uint64_t T = A.Ticks.load(std::memory_order_relaxed);
     uint64_t E = A.Events.load(std::memory_order_relaxed);
     if (!(T | E))
       continue;
-    PhaseProfile &PP = Out.Phases[profPhaseName(static_cast<ProfPhase>(P))];
+    PhaseProfile &PP =
+        Out.Phases[phaseInfo(static_cast<PipelinePhase>(P)).ProfileKey];
     PP.Cell = {T, E};
     PP.Hw.Cycles = A.Cycles.load(std::memory_order_relaxed);
     PP.Hw.Instructions = A.Instructions.load(std::memory_order_relaxed);
@@ -304,43 +281,45 @@ ProfileSnapshot ProfileRegistry::snapshot() const {
 }
 
 //===----------------------------------------------------------------------===//
-// ProfilePhaseScope
+// PhaseScope
 //===----------------------------------------------------------------------===//
 
-ProfilePhaseScope::ProfilePhaseScope(ProfPhase P, bool WallOnly) {
+PhaseScope::PhaseScope(PipelinePhase P, RequestBudget *Budget, int64_t Arg,
+                       PhaseTimes *Times)
+    : Phase(P), Times(Times), Span(phaseInfo(P).Span) {
+  const PhaseInfo &Row = phaseInfo(P);
+  if (Budget && Row.Status)
+    Budget->setPhase(P);
+  flightRecord(P, Arg);
+  if (Times)
+    WallStart = MonoClock::now();
   ProfileRegistry &R = profile();
-  if (!R.instrEnabled())
+  if (!Row.ProfileKey || !R.instrEnabled())
     return;
   TB = R.timebase();
-  // Wall-only scopes span the parallel region: their steps-timebase delta
-  // would depend on which thread ran what, so they no-op under steps to
-  // keep the artifact schedule-independent.
-  if (WallOnly && TB == ProfileTimebase::Steps)
+  if (Row.WallOnly && TB == ProfileTimebase::Steps)
     return;
   Live = true;
-  Phase = P;
   if (R.perfEnabled())
     PerfLive = threadPerf().read(PerfStart);
   StartTicks = ProfileRegistry::now(TB);
 }
 
-ProfilePhaseScope::~ProfilePhaseScope() {
-  if (!Live)
-    return;
-  uint64_t End = ProfileRegistry::now(TB);
-  ProfileRegistry &R = profile();
-  R.chargePhase(Phase, satSub(End, StartTicks), 1);
-  if (PerfLive) {
-    HwCounters Now;
-    if (threadPerf().read(Now)) {
-      HwCounters Delta{satSub(Now.Cycles, PerfStart.Cycles),
-                       satSub(Now.Instructions, PerfStart.Instructions),
-                       satSub(Now.L1dMisses, PerfStart.L1dMisses),
-                       satSub(Now.LlcMisses, PerfStart.LlcMisses),
-                       satSub(Now.BranchMisses, PerfStart.BranchMisses)};
-      R.chargePhaseHw(Phase, Delta);
-    }
+PhaseScope::~PhaseScope() {
+  if (Live) {
+    uint64_t Ticks = satSub(ProfileRegistry::now(TB), StartTicks);
+    HwCounters Now, Delta;
+    bool Hw = PerfLive && threadPerf().read(Now);
+    if (Hw)
+      Delta = {satSub(Now.Cycles, PerfStart.Cycles),
+               satSub(Now.Instructions, PerfStart.Instructions),
+               satSub(Now.L1dMisses, PerfStart.L1dMisses),
+               satSub(Now.LlcMisses, PerfStart.LlcMisses),
+               satSub(Now.BranchMisses, PerfStart.BranchMisses)};
+    profile().chargePhase(Phase, Ticks, Hw ? &Delta : nullptr);
   }
+  if (Times)
+    (*Times)[Phase] += monoSeconds(WallStart, MonoClock::now());
 }
 
 //===----------------------------------------------------------------------===//

@@ -27,11 +27,11 @@
 ///     with the time from the previous step's end to the tie timestamp.
 ///     In the cycles timebase that covers the lookahead's terminal lookup
 ///     and the whole lrStep(): action lookup, tie probe, pop and goto
-///     (under steps it is one tick). Phase scopes charge the code
-///     generator's phases. Per-table-region buckets are derived from the
-///     per-state buckets at snapshot time (region = RegionSize consecutive
-///     states of the packed action/goto tables), so regions cost nothing
-///     on the hot path.
+///     (under steps it is one tick). PhaseScopes charge the pipeline
+///     phases of support/Phase.h. Per-table-region buckets are derived
+///     from the per-state buckets at snapshot time (region = RegionSize
+///     consecutive states of the packed action/goto tables), so regions
+///     cost nothing on the hot path.
 ///   * perf — instr plus hardware counters via perf_event_open (cycles,
 ///     instructions, L1d/LLC misses, branch mispredicts), sampled at
 ///     phase-scope boundaries per thread and summed per phase. When the
@@ -48,9 +48,9 @@
 ///     property of the compiled input, not of the hardware or the
 ///     schedule. With this timebase the artifact is byte-identical at
 ///     any --threads count (asserted by tests/ProfileTest.cpp and the
-///     check.sh profile leg). Phase scopes that span the parallel
-///     region (cg.total) are wall-only and skipped under steps, keeping
-///     the key set schedule-independent too.
+///     check.sh profile leg). Phases that span the parallel region
+///     (cg.total) are wall-only and skipped under steps, keeping the
+///     key set schedule-independent too.
 ///
 /// Design constraints mirror support/Coverage.h, in order:
 ///   1. *Off is free.* One relaxed load gates everything; the default-off
@@ -71,7 +71,9 @@
 #define GG_SUPPORT_PROFILE_H
 
 #include "support/Clock.h"
+#include "support/Phase.h"
 #include "support/Sharded.h"
+#include "support/Trace.h"
 
 #include <atomic>
 #include <cstdint>
@@ -82,24 +84,10 @@
 namespace gg {
 
 struct JsonValue;
+struct RequestBudget;
 
 enum class ProfileMode : uint8_t { Off = 0, Instr, Perf };
 enum class ProfileTimebase : uint8_t { Cycles = 0, Steps };
-
-/// The instrumented pipeline phases. Dense ids index the registry's
-/// accumulator arrays; names are the artifact keys.
-enum class ProfPhase : uint8_t {
-  Transform,  ///< phase 1 tree transformation (serial)
-  Linearize,  ///< prefix linearization feeding the matcher
-  Match,      ///< phase 2 shift/reduce matching (the table hot loop)
-  Replay,     ///< phase 3+4 reduction replay incl. nested operand output
-  Fallback,   ///< PCC regeneration of blocked trees (degradation ladder)
-  Stitch,     ///< serial result stitch + final text render + peephole
-  Total,      ///< whole GGCodeGenerator::compile (wall; cycles-only)
-  PccCompile, ///< the PCC baseline's whole compile (the --diff-pcc leg)
-  NumPhases
-};
-const char *profPhaseName(ProfPhase P);
 
 /// Parses a `--profile=` spec: off | instr | perf, with an optional
 /// `,cycles` / `,steps` timebase suffix. Returns false and sets \p Err
@@ -239,9 +227,9 @@ public:
   /// Dyn-tie events are rare (one per deferred reduce/reduce tie hit),
   /// so a mutex-guarded map suffices, exactly as in Coverage.
   void chargeDyn(int State, int TermIdx, uint64_t Ticks);
-  /// Phase accumulators are dense atomics (no lookup).
-  void chargePhase(ProfPhase P, uint64_t Ticks, uint64_t Events);
-  void chargePhaseHw(ProfPhase P, const HwCounters &Delta);
+  /// One phase event: dense atomics (no lookup); \p Hw is the perf-mode
+  /// counter delta, or null.
+  void chargePhase(PipelinePhase P, uint64_t Ticks, const HwCounters *Hw);
   void noteCompile() {
     if (instrEnabled())
       Compiles.fetch_add(1, std::memory_order_relaxed);
@@ -288,7 +276,7 @@ private:
     std::atomic<uint64_t> Cycles{0}, Instructions{0}, L1dMisses{0},
         LlcMisses{0}, BranchMisses{0};
   };
-  PhaseAcc PhaseAccs[static_cast<size_t>(ProfPhase::NumPhases)];
+  PhaseAcc PhaseAccs[NumPipelinePhases];
 
   mutable std::mutex M; ///< sizing, fingerprint, dyn map
   std::string Fingerprint;
@@ -298,23 +286,24 @@ private:
 /// Shorthand for the global registry.
 inline ProfileRegistry &profile() { return ProfileRegistry::global(); }
 
-/// RAII phase scope: charges the phase's tick delta (and, in perf mode,
-/// its hardware-counter deltas) on destruction. A disabled registry
-/// makes construction a single relaxed load.
-///
-/// \p WallOnly marks scopes that span the parallel region (cg.total):
-/// they measure wall time meaningfully under the cycles timebase but
-/// would be schedule-dependent under steps, so they no-op there —
-/// keeping steps-timebase artifacts byte-identical at any thread count.
-class ProfilePhaseScope {
+/// The one RAII phase boundary: feeds every sink \p P's phaseInfo() row
+/// names. It publishes the status phase on \p Budget, records the flight
+/// event with \p Arg, opens the span, charges the profile phase its tick
+/// delta (plus hardware-counter deltas in perf mode; WallOnly rows no-op
+/// under steps) and adds its wall seconds to (*\p Times)[P].
+class PhaseScope {
 public:
-  explicit ProfilePhaseScope(ProfPhase P, bool WallOnly = false);
-  ~ProfilePhaseScope();
-  ProfilePhaseScope(const ProfilePhaseScope &) = delete;
-  ProfilePhaseScope &operator=(const ProfilePhaseScope &) = delete;
+  explicit PhaseScope(PipelinePhase P, RequestBudget *Budget = nullptr,
+                      int64_t Arg = 0, PhaseTimes *Times = nullptr);
+  ~PhaseScope();
+  PhaseScope(const PhaseScope &) = delete;
+  PhaseScope &operator=(const PhaseScope &) = delete;
 
 private:
-  ProfPhase Phase = ProfPhase::Total;
+  PipelinePhase Phase;
+  PhaseTimes *Times;
+  TraceSpan Span;
+  MonoClock::time_point WallStart;
   ProfileTimebase TB = ProfileTimebase::Cycles;
   uint64_t StartTicks = 0;
   bool Live = false;

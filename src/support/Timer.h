@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Wall-clock timing helpers used by the code generator's per-phase
-/// accounting (experiment E5) and the benchmark harnesses. Measures
-/// against the shared MonoClock (support/Clock.h), the same source the
-/// tracer and the cost profiler convert into, so seconds reported here
-/// line up with every other artifact.
+/// Wall-clock timing helpers used by the emitter's phase-4 stopwatch,
+/// table construction and the benchmark harnesses. Measures against the
+/// shared MonoClock (support/Clock.h), the same source the tracer and
+/// the cost profiler convert into, so seconds reported here line up with
+/// every other artifact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,8 +19,6 @@
 #include "support/Clock.h"
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace gg {
 
@@ -63,20 +61,6 @@ public:
 
 private:
   Timer &T;
-};
-
-/// Named collection of timers (one per code generator phase).
-class TimerGroup {
-public:
-  Timer &get(const std::string &Name) { return Timers[Name]; }
-  const std::map<std::string, Timer> &all() const { return Timers; }
-  void resetAll() {
-    for (auto &Entry : Timers)
-      Entry.second.reset();
-  }
-
-private:
-  std::map<std::string, Timer> Timers;
 };
 
 } // namespace gg

@@ -146,13 +146,13 @@ private:
 };
 
 /// RAII span: records [construction, destruction) into a recorder when
-/// it is enabled, and nothing otherwise.
+/// it is enabled, and nothing otherwise. A null \p Name opens no span.
 class TraceSpan {
 public:
   explicit TraceSpan(const char *Name,
                      TraceRecorder &R = TraceRecorder::global())
       : R(R) {
-    if (!R.enabled())
+    if (!Name || !R.enabled())
       return;
     Live = true;
     E.Name = Name;

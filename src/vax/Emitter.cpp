@@ -34,7 +34,9 @@ void AsmEmitter::appendInst(const std::string &Opcode,
   }
   Lines.push_back(std::move(Line));
   ++NumInsts;
-  ++stats().counter("emit.instructions");
+  // Runs per instruction: the registry entry is stable, so look it up once.
+  static auto &Emitted = stats().counter("emit.instructions");
+  ++Emitted;
 }
 
 void AsmEmitter::label(InternedString Name) { labelText(Syms.text(Name)); }

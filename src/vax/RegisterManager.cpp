@@ -29,12 +29,15 @@ void RegisterManager::markBusy(int R) {
   Busy[R] = true;
   BusyOrder.push_back(R);
   ++Stats.Allocations;
-  ++gg::stats().counter("regs.allocations");
+  // Registry handles are stable: resolve them once, not per allocation.
+  static auto &NumAllocs = gg::stats().counter("regs.allocations");
+  static auto &LiveHist = gg::stats().histogram("regs.live");
+  ++NumAllocs;
   unsigned Live = 0;
   for (int I = RegFirstAlloc; I <= RegLastAlloc; ++I)
     Live += Busy[I];
   Stats.MaxLive = std::max(Stats.MaxLive, Live);
-  gg::stats().histogram("regs.live").record(Live);
+  LiveHist.record(Live);
 }
 
 int RegisterManager::alloc() {
@@ -120,14 +123,16 @@ bool RegisterManager::evict(int R) {
   Cell.Spilled = true;
   SpillStore(R, Cell);
   ++Stats.Spills;
-  ++gg::stats().counter("regs.spills");
+  static auto &NumSpills = gg::stats().counter("regs.spills");
+  ++NumSpills;
   free(R);
   return true;
 }
 
 void RegisterManager::noteUnspill() {
   ++Stats.Unspills;
-  ++gg::stats().counter("regs.unspills");
+  static auto &NumUnspills = gg::stats().counter("regs.unspills");
+  ++NumUnspills;
 }
 
 int RegisterManager::numFree() const {
@@ -149,7 +154,8 @@ bool RegisterManager::spillOne() {
     Cell.Spilled = true;
     SpillStore(R, Cell);
     ++Stats.Spills;
-    ++gg::stats().counter("regs.spills");
+    static auto &NumSpills = gg::stats().counter("regs.spills");
+    ++NumSpills;
     free(R);
     return true;
   }

@@ -14,15 +14,22 @@
 #include "cg/CodeGenerator.h"
 #include "frontend/Parser.h"
 #include "pcc/PccCodeGen.h"
+#include "support/FaultInject.h"
+#include "support/FlightRecorder.h"
 #include "support/Json.h"
 #include "support/Profile.h"
+#include "support/Strings.h"
 #include "vax/VaxTarget.h"
 #include "workload/ProgramGen.h"
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <unistd.h>
 
 using namespace gg;
 
@@ -57,7 +64,7 @@ TEST(ProfileRegistry, OffByDefaultAndStepsAreDeterministic) {
   EXPECT_FALSE(R.perfEnabled());
 
   // Phase scopes cost nothing and record nothing while off.
-  { ProfilePhaseScope S(ProfPhase::Match); }
+  { PhaseScope S(PipelinePhase::Match); }
   R.noteCompile();
   ProfileSnapshot Off = R.snapshot();
   EXPECT_TRUE(Off.Phases.empty());
@@ -66,14 +73,42 @@ TEST(ProfileRegistry, OffByDefaultAndStepsAreDeterministic) {
   R.configure(ProfileMode::Instr, ProfileTimebase::Steps);
   EXPECT_TRUE(R.instrEnabled());
   EXPECT_FALSE(R.perfEnabled());
-  // A steps-timebase scope charges exactly one virtual tick.
-  { ProfilePhaseScope S(ProfPhase::Match); }
-  // Wall-only scopes (cg.total) no-op under steps.
-  { ProfilePhaseScope S(ProfPhase::Total, /*WallOnly=*/true); }
+  // One scope feeds every sink its phaseInfo() row names, once: the
+  // budget's status phase, one flight event, one profile event (under
+  // steps exactly one virtual tick), and a span only when the row has
+  // one (cg.match has none, cg.replay does).
+  TraceRecorder &Tr = TraceRecorder::global();
+  Tr.clear();
+  Tr.enable();
+  RequestBudget Budget;
+  PhaseTimes Times;
+  uint64_t Flights = flightEventCount();
+  { PhaseScope S(PipelinePhase::Match, &Budget, 7, &Times); }
+  EXPECT_EQ(Budget.Phase.load(), PipelinePhase::Match);
+  EXPECT_EQ(flightEventCount(), Flights + 1);
+  EXPECT_TRUE(Tr.events().empty());
+  EXPECT_GE(Times[PipelinePhase::Match], 0.0);
+  { PhaseScope S(PipelinePhase::Replay, &Budget, 3); }
+  EXPECT_EQ(Budget.Phase.load(), PipelinePhase::Replay);
+  EXPECT_EQ(flightEventCount(), Flights + 2);
+  ASSERT_EQ(Tr.events().size(), 1u);
+  EXPECT_EQ(Tr.events()[0].Name, "cg.replay");
+  EXPECT_EQ(Times[PipelinePhase::Replay], 0.0) << "no PhaseTimes handed";
+  // A row without a status or flight name leaves those sinks alone.
+  { PhaseScope S(PipelinePhase::Linearize, &Budget); }
+  EXPECT_EQ(Budget.Phase.load(), PipelinePhase::Replay);
+  EXPECT_EQ(flightEventCount(), Flights + 2);
+  // Wall-only scopes (cg.total) no-op in the profile under steps; the
+  // row's span still opens.
+  { PhaseScope S(PipelinePhase::Total); }
+  EXPECT_EQ(Tr.events().size(), 2u);
+  Tr.disable();
   ProfileSnapshot On = R.snapshot();
   ASSERT_EQ(On.Phases.count("cg.match"), 1u);
   EXPECT_EQ(On.Phases["cg.match"].Cell.Ticks, 1u);
   EXPECT_EQ(On.Phases["cg.match"].Cell.Events, 1u);
+  EXPECT_EQ(On.Phases["cg.replay"].Cell.Events, 1u);
+  EXPECT_EQ(On.Phases["cg.linearize"].Cell.Events, 1u);
   EXPECT_EQ(On.Phases.count("cg.total"), 0u);
   EXPECT_EQ(On.TicksPerSecond, 0.0) << "steps ticks are unitless";
 }
@@ -223,7 +258,7 @@ TEST(ProfileRegistry, PerfUnavailableFallsBackGracefully) {
   ProfileRegistry &R = profile();
   R.forcePerfUnavailableForTests(true);
   R.configure(ProfileMode::Perf, ProfileTimebase::Steps);
-  { ProfilePhaseScope S(ProfPhase::Match); }
+  { PhaseScope S(PipelinePhase::Match); }
   EXPECT_FALSE(R.perfAvailable());
   ProfileSnapshot S = R.snapshot();
   ASSERT_EQ(S.Phases.count("cg.match"), 1u);
@@ -322,6 +357,90 @@ TEST(ProfilePipeline, PccCompileChargesItsPhase) {
   ProfileSnapshot S = profile().snapshot();
   ASSERT_EQ(S.Phases.count("pcc.compile"), 1u);
   EXPECT_EQ(S.Phases["pcc.compile"].Cell.Events, 1u);
+}
+
+/// Counts gg-flight-v1 events of request \p Req by kind.
+std::map<std::string, int> flightKindsOf(uint64_t Req) {
+  std::string Path =
+      strf("/tmp/gg-flight-profile-%d.json", static_cast<int>(getpid()));
+  int Fd = ::open(Path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  EXPECT_GE(Fd, 0);
+  flightDumpFd(Fd, "unit-test");
+  ::close(Fd);
+  std::stringstream SS;
+  SS << std::ifstream(Path).rdbuf();
+  ::unlink(Path.c_str());
+  JsonValue V;
+  std::string Err;
+  EXPECT_TRUE(parseJson(SS.str(), V, Err)) << Err;
+  std::map<std::string, int> Kinds;
+  if (const JsonValue *Events = V.find("events"))
+    for (const JsonValue &E : Events->Arr)
+      if (E.numberOr("req") == static_cast<double>(Req))
+        ++Kinds[E.find("kind")->Str];
+  return Kinds;
+}
+
+// Every sink sees the same boundaries: one compile with some trees
+// blocked (truncate-input) and recovered through the fallback leaves the
+// same per-phase counts in the profile, the flight ring and the trace.
+TEST(ProfilePipeline, EverySinkSeesTheSameBoundaries) {
+  std::unique_ptr<VaxTarget> Target = mustTarget();
+  profile().configure(ProfileMode::Instr, ProfileTimebase::Cycles);
+  profile().reset();
+  std::string Err;
+  faultInject().reset();
+  ASSERT_TRUE(faultInject().configure("truncate-input=3", Err)) << Err;
+  TraceRecorder &Tr = TraceRecorder::global();
+  Tr.clear();
+  Tr.enable();
+
+  Program P;
+  DiagnosticSink Diags;
+  ASSERT_TRUE(compileMiniC(kProgram, P, Diags)) << Diags.renderAll();
+  CodeGenOptions Opts;
+  Opts.Parallel.Threads = 1;
+  RequestBudget Budget;
+  Opts.Budget = &Budget;
+  GGCodeGenerator CG(*Target, Opts);
+  std::string Asm;
+  constexpr uint64_t Req = 0x5C09E;
+  {
+    RequestScope Scope(Req);
+    ASSERT_TRUE(CG.compile(P, Asm, Err)) << Err;
+  }
+  Tr.disable();
+  faultInject().reset();
+
+  const CodeGenStats &St = CG.stats();
+  const uint64_t N = St.StatementTrees, Blocked = St.BlockedTrees;
+  ASSERT_GE(Blocked, 1u);
+  ASSERT_EQ(St.RecoveredTrees, Blocked);
+  const uint64_t Matched = N - Blocked;
+
+  ProfileSnapshot S = profile().snapshot();
+  EXPECT_EQ(S.Phases["cg.linearize"].Cell.Events, N);
+  EXPECT_EQ(S.Phases["cg.match"].Cell.Events, N);
+  EXPECT_EQ(S.Phases["cg.replay"].Cell.Events, Matched);
+  EXPECT_EQ(S.Phases["cg.fallback"].Cell.Events, Blocked);
+  EXPECT_EQ(S.Phases["cg.transform"].Cell.Events, 1u);
+  EXPECT_EQ(S.Phases["cg.stitch"].Cell.Events, 1u);
+
+  std::map<std::string, int> Kinds = flightKindsOf(Req);
+  EXPECT_EQ(Kinds["phase-match"], static_cast<int>(N));
+  EXPECT_EQ(Kinds["phase-replay"], static_cast<int>(Matched));
+  EXPECT_EQ(Kinds["phase-fallback"], static_cast<int>(Blocked));
+  EXPECT_EQ(Kinds["phase-transform"], 1);
+  EXPECT_EQ(Kinds["phase-stitch"], 1);
+
+  uint64_t Replays = 0, Fallbacks = 0;
+  for (const TraceEvent &E : Tr.events()) {
+    Replays += E.Name == "cg.replay";
+    Fallbacks += E.Name == "cg.fallback";
+  }
+  EXPECT_EQ(Replays, Matched);
+  EXPECT_EQ(Fallbacks, Blocked);
+  EXPECT_EQ(Budget.Phase.load(), PipelinePhase::Stitch);
 }
 
 std::string compileCorpusAndSnapshot(const VaxTarget &Target, int Threads) {
