@@ -21,7 +21,8 @@
 #    and --profile-json, merges the gg-profile-v1 artifacts with
 #    gg-report --profile, gates on >= 90% of the GG wall time being
 #    attributed to instrumented phases, and asserts the steps-timebase
-#    artifact is byte-identical across worker counts,
+#    artifact is byte-identical across worker counts and with coverage
+#    on or off (the coverage leg likewise with the profile on or off),
 # 7. runs the compile-server smoke: a live `compile_minic --serve`
 #    daemon (docs/server.md) under the sanitizers takes >= 1000 gg-load
 #    corpus requests across the whole fault matrix plus a supervisor
@@ -251,6 +252,15 @@ cmp "$TMP/cov.t1.json" "$TMP/cov.t4.json" ||
   { echo "coverage artifact differs between thread counts" >&2; exit 1; }
 echo "   coverage artifact byte-identical at --threads=1 vs 4"
 
+# Coverage and the profile are two views of one table-event registry:
+# arming the profile must not change a byte of the coverage artifact.
+"$BUILD_DIR"/examples/compile_minic --gen-corpus=6 --threads=4 \
+  --coverage-json="$TMP/cov.prof.json" \
+  --profile=instr,steps --profile-json="$TMP/prof.cov.json" >/dev/null 2>&1
+cmp "$TMP/cov.t4.json" "$TMP/cov.prof.json" ||
+  { echo "coverage artifact changes when the profile is on" >&2; exit 1; }
+echo "   coverage artifact byte-identical with and without --profile"
+
 echo "== fuzz smoke (grammar-aware differential fuzzer under sanitizers)"
 # Two fixed seeds through the full coverage plan: every program must pass
 # all three oracles (gg-fuzz exits nonzero on any differential mismatch
@@ -326,6 +336,11 @@ echo "   profile+coverage join ok"
 cmp "$TMP/prof.t1.json" "$TMP/prof.t4.json" ||
   { echo "profile artifact differs between thread counts" >&2; exit 1; }
 echo "   steps-timebase artifact byte-identical at --threads=1 vs 4"
+# ... and with coverage on (the coverage leg recorded prof.cov.json with
+# --coverage-json at --threads=4): one registry, no cross-talk.
+cmp "$TMP/prof.t4.json" "$TMP/prof.cov.json" ||
+  { echo "profile artifact changes when coverage is on" >&2; exit 1; }
+echo "   steps-timebase artifact byte-identical with and without coverage"
 
 # The no-artifact misuse paths must diagnose, not silently succeed.
 if "$BUILD_DIR"/tools/gg-report >/dev/null 2>"$TMP/noargs.err"; then

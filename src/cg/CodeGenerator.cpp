@@ -3,7 +3,6 @@
 #include "cg/CodeGenerator.h"
 #include "ir/Linearize.h"
 #include "pcc/PccCodeGen.h"
-#include "support/Coverage.h"
 #include "support/FaultInject.h"
 #include "support/FlightRecorder.h"
 #include "support/Profile.h"
@@ -337,7 +336,6 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   Trace.clear();
   Diags = DiagnosticSink();
   touchSchemaKeys();
-  coverage().noteCompile();
   profile().noteCompile();
   // cg.total is wall time across the parallel region; it is wall-only,
   // so it no-ops under the deterministic steps timebase.

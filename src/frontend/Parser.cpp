@@ -402,6 +402,8 @@ private:
         if (CurRet.IsVoid)
           error("returning a value from a void function");
         Value V = parseExpr();
+        if (promote(V.T).IsPtr && !CurRet.IsPtr)
+          error("returning a pointer from a non-pointer function");
         Node *N = V.N;
         if (sizeClassOf(N->Type) != SizeClass::L)
           N = A.unary(Op::Conv, Ty::L, N);
@@ -1158,6 +1160,10 @@ private:
     CType BT = promote(Base.T);
     if (!BT.IsPtr) {
       error("indexing a non-pointer");
+      return Base;
+    }
+    if (promote(Idx.T).IsPtr) {
+      error("array index is a pointer");
       return Base;
     }
     Node *Scaled =

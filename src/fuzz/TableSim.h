@@ -9,10 +9,9 @@
 /// fuzzer uses it to *predict* what the real pipeline will do — which
 /// productions reduce, which states are visited, which dynamic-tie points
 /// are consulted, and whether the parse accepts or blocks — without
-/// touching the process-wide coverage registry (which is enable-only by
-/// design; see support/Coverage.h). Searching for witnesses means
-/// simulating millions of prefixes, none of which may pollute the artifact
-/// the final corpus produces.
+/// touching the process-wide table-event registry (support/Profile.h).
+/// Searching for witnesses means simulating millions of prefixes, none of
+/// which may pollute the coverage artifact the final corpus produces.
 ///
 /// The simulator is a loop over the matcher's own step, lrStep()
 /// (match/Matcher.h), with the matcher's default depth cap; it only
@@ -34,7 +33,8 @@
 namespace gg {
 
 /// Everything one simulated parse observed, in event order. Mirrors what
-/// the coverage registry would record for the same token sequence.
+/// the table-event registry's coverage view would record for the same
+/// token sequence.
 struct SimTrace {
   bool Accepted = false;
   std::string Error;         ///< human-readable block cause when !Accepted

@@ -1,7 +1,6 @@
 //===- Matcher.cpp - instruction pattern matcher ---------------------------===//
 
 #include "match/Matcher.h"
-#include "support/Coverage.h"
 #include "support/Profile.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
@@ -14,10 +13,6 @@ using namespace gg;
 Matcher::Matcher(const Grammar &G, const PackedTables &T, MatcherOptions Opts)
     : G(G), T(T), Opts(Opts) {
   assert(G.isFrozen() && "matcher requires a frozen grammar");
-  // Size the coverage and cost-profile counter arrays while construction
-  // is still serial (workers never resize; see support/Coverage.h).
-  coverage().sizeGrammar(G.numProductions(), T.numStates(), T.numDynPoints());
-  profile().sizeGrammar(G.numProductions(), T.numStates());
 }
 
 std::string BlockReport::render() const {
@@ -91,27 +86,15 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
   static LogHistogram &TokensHist = Reg.histogram("match.tokens_per_tree");
   static LogHistogram &StepsHist = Reg.histogram("match.steps_per_tree");
 
-  // Coverage recording costs one relaxed load per tree when disabled; the
-  // per-step recorders below are all behind this flag.
-  CoverageRegistry &Cov = coverage();
-  const bool Covering = Cov.enabled();
-
-  // Cost attribution costs one relaxed load per tree when off. When on,
-  // each step's timestamp delta (since the previous step's end) charges
-  // the acting state — a complete projection: the sum over states is the
-  // whole matcher loop. Reduce steps additionally charge the production,
-  // and a deferred reduce/reduce tie charges the step itself (up to the
-  // goto) to the (state, terminal) dyn point. See support/Profile.h.
+  // Table-event recording costs one relaxed load of the gate word per tree
+  // when off. When on, every step is one record (support/Profile.h), and
+  // the tree's start is the push of state 0.
   ProfileRegistry &Prof = profile();
-  const bool Profiling = Prof.instrEnabled();
-  const ProfileTimebase ProfTB =
-      Profiling ? Prof.timebase() : ProfileTimebase::Cycles;
-  uint64_t LastTs = Profiling ? ProfileRegistry::now(ProfTB) : 0;
+  const uint8_t Gate = Prof.gate();
+  uint64_t LastTs = Gate ? Prof.noteStep(Gate, {-1, 0}, 0) : 0;
 
   TraceSpan Span("match.tree");
   ++NumTrees;
-  if (Covering)
-    Cov.noteStateVisit(0);
 
   MatchResult R;
   std::vector<int> StateStack{0};
@@ -129,8 +112,13 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
   if (Budget && Budget->MaxStackDepth && Budget->MaxStackDepth < DepthCap)
     DepthCap = Budget->MaxStackDepth;
 
-  // Per-tree distribution bookkeeping runs on every exit path.
+  // Per-tree bookkeeping runs on every exit path; the step counters are
+  // summed locally and published once per tree.
+  uint64_t Shifts = 0, Reduces = 0, Ties = 0;
   auto Finish = [&] {
+    NumShifts += Shifts;
+    NumReduces += Reduces;
+    NumTies += Ties;
     DepthHist.record(MaxDepth);
     TokensHist.record(N);
     StepsHist.record(R.Steps.size());
@@ -188,41 +176,26 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
     }
 
     const StepEvent E = lrStep(G, T, StateStack, TermIdx, DepthCap);
+    if (Gate)
+      LastTs = Prof.noteStep(Gate, {E.State, E.Pushed, E.Prod, TermIdx, E.Tie},
+                             LastTs);
     switch (E.Kind) {
     case StepEvent::Shift:
-      ++NumShifts;
-      if (Covering)
-        Cov.noteStateVisit(E.Pushed);
+      ++Shifts;
       R.Steps.push_back({MatchStep::Shift, static_cast<int>(Pos), -1});
       SymStack.push_back(G.terminals()[TermIdx]);
       MaxDepth = std::max(MaxDepth, StateStack.size());
       ++Pos;
-      if (Profiling) {
-        uint64_t Now = ProfileRegistry::now(ProfTB);
-        Prof.chargeState(E.State, Now - LastTs);
-        LastTs = Now;
-      }
       break;
 
     case StepEvent::Reduce:
     case StepEvent::MissingGoto:
     case StepEvent::Underflow: {
-      ++NumReduces;
-      uint64_t TieTs = LastTs;
-      if (E.Tie) {
-        // A longest-rule tie the table constructor deferred to match time
-        // (§3.2); the table's default production is taken.
-        ++NumTies;
-        if (Profiling) {
-          TieTs = ProfileRegistry::now(ProfTB);
-          Prof.chargeDyn(E.State, TermIdx, TieTs - LastTs);
-        }
-      }
-      if (Covering) {
-        Cov.noteReduce(E.Prod);
-        if (E.Tie)
-          Cov.noteDynChoice(E.State, TermIdx, E.Prod);
-      }
+      // A reduce whose goto fails still counts. A tie is a longest-rule
+      // tie the table constructor deferred to match time (§3.2); the
+      // table's default production is taken.
+      ++Reduces;
+      Ties += E.Tie;
       // A failed reduce reports the stranded nonterminal as its lookahead:
       // corrupt or stale tables, not a description gap.
       const Production &P = G.prod(E.Prod);
@@ -235,17 +208,9 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
         Blocked(BlockReport::Cause::MissingGoto, G.symbolName(P.Lhs));
         return R;
       }
-      if (Covering)
-        Cov.noteStateVisit(E.Pushed);
       R.Steps.push_back({MatchStep::Reduce, -1, E.Prod});
       SymStack.push_back(P.Lhs);
       MaxDepth = std::max(MaxDepth, StateStack.size());
-      if (Profiling) {
-        uint64_t Now = ProfileRegistry::now(ProfTB);
-        Prof.chargeProd(E.Prod, Now - TieTs);
-        Prof.chargeState(E.State, Now - LastTs);
-        LastTs = Now;
-      }
       break;
     }
 

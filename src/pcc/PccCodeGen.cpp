@@ -565,7 +565,7 @@ private:
 bool PccCodeGenerator::compile(Program &Prog, std::string &Asm,
                                std::string &Err) {
   Stats = PccStats();
-  profile().noteCompile();
+  profile().noteCompile(/*Baseline=*/true);
   PhaseTimes Times;
   {
     // The whole baseline compile is one phase: the --diff-pcc leg

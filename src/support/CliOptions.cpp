@@ -1,7 +1,6 @@
 //===- CliOptions.cpp - shared example-driver options -------------------------===//
 
 #include "support/CliOptions.h"
-#include "support/Coverage.h"
 #include "support/FaultInject.h"
 #include "support/FlightRecorder.h"
 #include "support/Profile.h"
@@ -96,7 +95,7 @@ TelemetryDump::TelemetryDump(const CommonDriverOptions &O) : Opts(O) {
   if (!Opts.TraceJsonPath.empty())
     TraceRecorder::global().enable();
   if (!Opts.CoverageJsonPath.empty())
-    coverage().enable();
+    profile().enableCoverage();
   // Asking for the artifact without picking a mode means instr; an
   // explicit --profile= wins (including --profile=off to disarm).
   if (!Opts.ProfileGiven && !Opts.ProfileJsonPath.empty())
@@ -116,7 +115,8 @@ TelemetryDump::~TelemetryDump() {
     writeTextOrStdout(Opts.TraceJsonPath,
                       TraceRecorder::global().toChromeJson());
   if (!Opts.CoverageJsonPath.empty())
-    writeTextOrStdout(Opts.CoverageJsonPath, coverage().toJson() + "\n");
+    writeTextOrStdout(Opts.CoverageJsonPath,
+                      profile().coverageSnapshot().toJson() + "\n");
   if (!Opts.ProfileJsonPath.empty())
     writeTextOrStdout(Opts.ProfileJsonPath, profile().toJson() + "\n");
   // Every normal exit leaves a flight dump too, so the artifact exists

@@ -14,7 +14,7 @@
 /// compile_minic; telemetry consumers now get one contract).
 ///
 /// TelemetryDump is the RAII half: constructing it enables the trace
-/// recorder / coverage registry as requested, and its destructor writes
+/// recorder / table-event registry as requested, and its destructor writes
 /// every requested artifact on any exit path from main().
 ///
 //===----------------------------------------------------------------------===//

@@ -1,4 +1,4 @@
-//===- Coverage.cpp - table coverage hit counters -----------------------------===//
+//===- Coverage.cpp - the gg-coverage-v1 artifact -----------------------------===//
 
 #include "support/Coverage.h"
 #include "support/Json.h"
@@ -8,77 +8,6 @@
 #include <algorithm>
 
 using namespace gg;
-
-//===----------------------------------------------------------------------===//
-// CoverageRegistry
-//===----------------------------------------------------------------------===//
-
-CoverageRegistry &CoverageRegistry::global() {
-  static CoverageRegistry R;
-  return R;
-}
-
-void CoverageRegistry::sizeGrammar(size_t NumProds, size_t NumStates,
-                                   size_t DynPoints) {
-  std::lock_guard<std::mutex> Lock(M);
-  ProdCounters.growLocked(NumProds);
-  StateCounters.growLocked(NumStates);
-  NumDynPoints = std::max(NumDynPoints, DynPoints);
-}
-
-void CoverageRegistry::sizeInstrRows(const std::vector<std::string> &Names) {
-  std::lock_guard<std::mutex> Lock(M);
-  if (Names.size() > RowNames.size())
-    RowNames = Names;
-  RowCounters.growLocked(RowNames.size());
-}
-
-void CoverageRegistry::setFingerprint(const std::string &HexFP) {
-  std::lock_guard<std::mutex> Lock(M);
-  Fingerprint = HexFP;
-}
-
-void CoverageRegistry::noteDynChoice(int State, int TermIdx, int ChosenProd) {
-  if (!enabled())
-    return;
-  // Tie events are orders of magnitude rarer than shifts/reduces (one per
-  // deferred reduce/reduce tie actually hit), so a mutex-guarded map is
-  // fine here where it would not be in noteReduce.
-  std::lock_guard<std::mutex> Lock(M);
-  DynPointHits &P = Dyn[{State, TermIdx}];
-  ++P.Hits;
-  ++P.Chosen[ChosenProd];
-}
-
-void CoverageRegistry::reset() {
-  std::lock_guard<std::mutex> Lock(M);
-  for (ShardedCounters *F : {&ProdCounters, &StateCounters, &RowCounters})
-    F->resetLocked();
-  Dyn.clear();
-  Compiles.store(0, std::memory_order_relaxed);
-}
-
-CoverageSnapshot CoverageRegistry::snapshot() const {
-  std::lock_guard<std::mutex> Lock(M);
-  CoverageSnapshot Out;
-  Out.Fingerprint = Fingerprint;
-  Out.Compiles = Compiles.load(std::memory_order_relaxed);
-  Out.NumProds = ProdCounters.size();
-  Out.NumStates = StateCounters.size();
-  Out.NumDynPoints = NumDynPoints;
-  Out.NumRows = RowCounters.size();
-  for (size_t I = 0; I < Out.NumProds; ++I)
-    if (uint64_t H = ProdCounters.sum(I))
-      Out.ProdHits[static_cast<int>(I)] = H;
-  for (size_t I = 0; I < Out.NumStates; ++I)
-    if (uint64_t H = StateCounters.sum(I))
-      Out.StateHits[static_cast<int>(I)] = H;
-  for (size_t I = 0; I < Out.NumRows; ++I)
-    if (uint64_t H = RowCounters.sum(I))
-      Out.RowHits[RowNames[I]] = H;
-  Out.Dyn = Dyn;
-  return Out;
-}
 
 //===----------------------------------------------------------------------===//
 // CoverageSnapshot
@@ -139,20 +68,6 @@ std::string CoverageSnapshot::toJson() const {
 
 namespace {
 
-/// "12" -> 12; returns false on junk so corrupt artifacts fail loudly.
-bool parseIntKey(const std::string &Key, int &Out) {
-  if (Key.empty())
-    return false;
-  int V = 0;
-  for (char C : Key) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + (C - '0');
-  }
-  Out = V;
-  return true;
-}
-
 bool readIdMap(const JsonValue *V, std::map<int, uint64_t> &Out,
                const char *What, std::string &Err) {
   if (!V || !V->isObject()) {
@@ -161,7 +76,7 @@ bool readIdMap(const JsonValue *V, std::map<int, uint64_t> &Out,
   }
   for (const auto &[Key, Val] : V->Obj) {
     int Id;
-    if (!parseIntKey(Key, Id) || !Val.isNumber()) {
+    if (!parseIdKey(Key, Id) || !Val.isNumber()) {
       Err = strf("bad entry \"%s\" in \"%s\"", Key.c_str(), What);
       return false;
     }
@@ -203,8 +118,8 @@ bool CoverageSnapshot::parse(const JsonValue &V, std::string &Err) {
     size_t Colon = Key.find(':');
     int State, Term;
     if (Colon == std::string::npos ||
-        !parseIntKey(Key.substr(0, Colon), State) ||
-        !parseIntKey(Key.substr(Colon + 1), Term) || !Val.isObject()) {
+        !parseIdKey(Key.substr(0, Colon), State) ||
+        !parseIdKey(Key.substr(Colon + 1), Term) || !Val.isObject()) {
       Err = strf("bad dyn key \"%s\"", Key.c_str());
       return false;
     }

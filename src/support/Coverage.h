@@ -1,51 +1,32 @@
-//===- Coverage.h - table coverage hit counters -----------------*- C++ -*-===//
+//===- Coverage.h - the gg-coverage-v1 artifact -----------------*- C++ -*-===//
 //
 // Part of the Graham-Glanville table-driven code generation reproduction.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Coverage profiling for the table-driven paths: which productions the
-/// matcher actually reduces by, which parse states real input visits,
-/// which dynamic-tie points fire (and what they choose), and which rows
-/// of the Figure-3 instruction table the semantic actions consult. This
-/// is the feedback loop the related work builds on — Samuelsson's
-/// example-based table specialization starts from exactly this usage
-/// data — packaged as a versioned `gg-coverage-v1` JSON artifact that the
-/// offline `gg-report` tool merges across runs.
+/// The `gg-coverage-v1` artifact: which productions the matcher reduces
+/// by, which parse states real input visits, which dynamic-tie points
+/// fire (and what they choose), and which rows of the Figure-3
+/// instruction table the semantic actions consult. This is the usage data
+/// the related work builds on (Samuelsson's example-based table
+/// specialization starts from it). The counts are the counts-only view
+/// of the one table-event registry (support/Profile.h,
+/// ProfileRegistry::coverageSnapshot()); this file holds only the format,
+/// which the offline `gg-report` tool parses and merges across runs.
 ///
-/// Design constraints, in order:
-///   1. *Off is free.* Recording is gated on one relaxed atomic load; the
-///      default-off registry adds no measurable cost to the matcher loop.
-///   2. *On is cheap and thread-safe.* Hits land in per-thread shards of
-///      plain atomic arrays (no locks, no hashing on the hot path); the
-///      parallel code generator's workers record concurrently and the
-///      shards are summed only at dump time.
-///   3. *Deterministic artifacts.* Every recorded event is a property of
-///      the compiled input, not of scheduling, and the JSON emits sorted
-///      keys — so the artifact for a given input is byte-identical at any
-///      thread count (asserted by tests/CoverageTest.cpp).
-///
-/// Sizing (`sizeGrammar`, `sizeInstrRows`) must happen while no thread is
-/// recording. The pipeline guarantees this: targets are constructed
-/// serially (VaxTarget::create, Matcher constructor) before any compile
-/// workers start. Re-sizing retires the previous counter store instead of
-/// freeing it, so a (unsupported, but conceivable) racing reader never
-/// touches freed memory.
+/// Every count is a property of the compiled input, not of scheduling,
+/// and the JSON emits sorted keys, so the artifact for a given input is
+/// byte-identical at any thread count (asserted by tests/CoverageTest.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GG_SUPPORT_COVERAGE_H
 #define GG_SUPPORT_COVERAGE_H
 
-#include "support/Sharded.h"
-
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace gg {
 
@@ -59,7 +40,7 @@ struct DynPointHits {
 };
 
 /// A plain-data coverage artifact: what one `gg-coverage-v1` file holds.
-/// The registry serializes through this, and `gg-report` parses and
+/// The registry's coverage view builds one, and `gg-report` parses and
 /// merges artifacts with it.
 struct CoverageSnapshot {
   std::string Fingerprint; ///< grammar/tables identity (hex); "" = unset
@@ -83,74 +64,6 @@ struct CoverageSnapshot {
   /// grammars must not be summed.
   bool merge(const CoverageSnapshot &Other, std::string &Err);
 };
-
-/// The process-wide coverage registry. All recording is funneled through
-/// the free function coverage() below.
-class CoverageRegistry {
-public:
-  static CoverageRegistry &global();
-
-  /// Turns recording on (it is off — and free — by default). There is no
-  /// disable: the drivers enable it before compiling when a
-  /// `--coverage-json=` destination is given.
-  void enable() { On.store(true, std::memory_order_relaxed); }
-  bool enabled() const { return On.load(std::memory_order_relaxed); }
-
-  /// Sizes the production/state counter arrays (grow-only) and the
-  /// dynamic-point total used for utilization reporting. Serial-only; see
-  /// the file comment.
-  void sizeGrammar(size_t NumProds, size_t NumStates, size_t NumDynPoints);
-
-  /// Names the instruction-table rows (row id = index into \p Names).
-  void sizeInstrRows(const std::vector<std::string> &Names);
-
-  /// Sets the grammar/tables identity embedded in the artifact so
-  /// `gg-report` can decide whether its freshly built target's names
-  /// apply to the ids in a file.
-  void setFingerprint(const std::string &HexFP);
-
-  /// Hot-path recorders. Safe (and free) when disabled; out-of-range ids
-  /// are dropped rather than asserted — a stale artifact is better than a
-  /// crashed compiler.
-  void noteReduce(int Prod) { bump(ProdCounters, Prod); }
-  void noteStateVisit(int State) { bump(StateCounters, State); }
-  void noteInstrRow(int Row) { bump(RowCounters, Row); }
-  void noteDynChoice(int State, int TermIdx, int ChosenProd);
-  void noteCompile() {
-    if (enabled())
-      Compiles.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Zeroes all hit counts (sizes, names and the fingerprint stay).
-  void reset();
-
-  /// Sums the shards into a plain artifact / its JSON rendering.
-  CoverageSnapshot snapshot() const;
-  std::string toJson() const { return snapshot().toJson(); }
-
-private:
-  /// Hit counters live in the sharded grow-only store shared with the
-  /// cost profiler (support/Sharded.h); only the enabled gate and the
-  /// dump-time aggregation are coverage-specific.
-  void bump(ShardedCounters &F, int Index) {
-    if (!enabled())
-      return;
-    F.add(Index, 1);
-  }
-
-  std::atomic<bool> On{false};
-  std::atomic<uint64_t> Compiles{0};
-  ShardedCounters ProdCounters, StateCounters, RowCounters;
-
-  mutable std::mutex M; ///< sizing, names, fingerprint, dyn map
-  std::vector<std::string> RowNames;
-  std::string Fingerprint;
-  size_t NumDynPoints = 0;
-  std::map<std::pair<int, int>, DynPointHits> Dyn;
-};
-
-/// Shorthand for the global registry.
-inline CoverageRegistry &coverage() { return CoverageRegistry::global(); }
 
 } // namespace gg
 

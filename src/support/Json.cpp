@@ -3,6 +3,7 @@
 #include "support/Json.h"
 #include "support/Strings.h"
 
+#include <climits>
 #include <cstdlib>
 
 using namespace gg;
@@ -220,4 +221,17 @@ private:
 bool gg::parseJson(std::string_view Text, JsonValue &Out, std::string &Err) {
   Out = JsonValue();
   return Parser(Text, Err).run(Out);
+}
+
+bool gg::parseIdKey(std::string_view Key, int &Out) {
+  if (Key.empty())
+    return false;
+  int V = 0;
+  for (char C : Key) {
+    if (C < '0' || C > '9' || V > (INT_MAX - (C - '0')) / 10)
+      return false;
+    V = V * 10 + (C - '0');
+  }
+  Out = V;
+  return true;
 }

@@ -63,6 +63,11 @@ struct JsonValue {
 /// to a one-line message with the byte offset of the problem.
 bool parseJson(std::string_view Text, JsonValue &Out, std::string &Err);
 
+/// Parses an artifact's decimal id key ("12" -> 12). Returns false on an
+/// empty key, a non-digit, or a value above INT_MAX, so a corrupt
+/// artifact fails loudly instead of folding its count into another id.
+bool parseIdKey(std::string_view Key, int &Out);
+
 } // namespace gg
 
 #endif // GG_SUPPORT_JSON_H

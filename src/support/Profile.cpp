@@ -1,4 +1,4 @@
-//===- Profile.cpp - hot-path cost attribution over the tables ----------------===//
+//===- Profile.cpp - the table-event registry and its views ------------------===//
 
 #include "support/Profile.h"
 #include "support/Deadline.h"
@@ -176,15 +176,44 @@ ProfileRegistry &ProfileRegistry::global() {
 }
 
 void ProfileRegistry::configure(ProfileMode Mode, ProfileTimebase TB) {
-  TimebaseA.store(static_cast<uint8_t>(TB), std::memory_order_relaxed);
-  ModeA.store(static_cast<uint8_t>(Mode), std::memory_order_relaxed);
+  uint8_t Bits = Word.load(std::memory_order_relaxed) & Count;
+  if (Mode != ProfileMode::Off)
+    Bits |= Time;
+  if (Mode == ProfileMode::Perf)
+    Bits |= Perf;
+  if (TB == ProfileTimebase::Steps)
+    Bits |= Steps;
+  Word.store(Bits, std::memory_order_relaxed);
 }
 
-void ProfileRegistry::chargeDyn(int State, int TermIdx, uint64_t Ticks) {
-  std::lock_guard<std::mutex> Lock(M);
-  ProfCell &C = Dyn[{State, TermIdx}];
-  C.Ticks += Ticks;
-  ++C.Events;
+uint64_t ProfileRegistry::noteStep(uint8_t G, const TableStep &S,
+                                   uint64_t LastTs) {
+  if (G & Count) {
+    PushHits.add(S.Pushed, 1);
+    ProdHits.add(S.Prod, 1);
+  }
+  uint64_t TieTs = LastTs;
+  if (S.Tie) {
+    if (G & Time)
+      TieTs = now(G);
+    std::lock_guard<std::mutex> Lock(M);
+    DynCell &C = Dyn[{S.State, S.Term}];
+    C.Cost.Ticks += TieTs - LastTs;
+    ++C.Cost.Events;
+    if (G & Count)
+      ++C.Chosen[S.Prod];
+  }
+  // A reduce that pushed nothing stops the match; only its tie is timed.
+  if (!(G & Time) || S.Pushed < 0)
+    return LastTs;
+  uint64_t Now = now(G);
+  if (S.Prod >= 0) {
+    ProdTicks.add(S.Prod, Now - TieTs);
+    ProdEvents.add(S.Prod, 1);
+  }
+  StateTicks.add(S.State, Now - LastTs);
+  StateEvents.add(S.State, 1);
+  return Now;
 }
 
 void ProfileRegistry::chargePhase(PipelinePhase P, uint64_t Ticks,
@@ -201,12 +230,18 @@ void ProfileRegistry::chargePhase(PipelinePhase P, uint64_t Ticks,
   A.BranchMisses.fetch_add(Hw->BranchMisses, std::memory_order_relaxed);
 }
 
-void ProfileRegistry::sizeGrammar(size_t NumProds, size_t NumStates) {
+void ProfileRegistry::sizeTables(size_t NumProds, size_t NumStates,
+                                 size_t DynPoints,
+                                 const std::vector<std::string> &Names) {
   std::lock_guard<std::mutex> Lock(M);
-  ProdTicks.growLocked(NumProds);
-  ProdEvents.growLocked(NumProds);
-  StateTicks.growLocked(NumStates);
-  StateEvents.growLocked(NumStates);
+  for (ShardedCounters *F : {&ProdHits, &ProdTicks, &ProdEvents})
+    F->growLocked(NumProds);
+  for (ShardedCounters *F : {&PushHits, &StateTicks, &StateEvents})
+    F->growLocked(NumStates);
+  NumDynPoints = std::max(NumDynPoints, DynPoints);
+  if (Names.size() > RowNames.size())
+    RowNames = Names;
+  RowHits.growLocked(RowNames.size());
 }
 
 void ProfileRegistry::setFingerprint(const std::string &HexFP) {
@@ -221,8 +256,8 @@ bool ProfileRegistry::perfAvailable() const {
 
 void ProfileRegistry::reset() {
   std::lock_guard<std::mutex> Lock(M);
-  for (ShardedCounters *F :
-       {&StateTicks, &StateEvents, &ProdTicks, &ProdEvents})
+  for (ShardedCounters *F : {&PushHits, &ProdHits, &RowHits, &StateTicks,
+                             &StateEvents, &ProdTicks, &ProdEvents})
     F->resetLocked();
   for (PhaseAcc &A : PhaseAccs) {
     A.Ticks.store(0, std::memory_order_relaxed);
@@ -234,7 +269,8 @@ void ProfileRegistry::reset() {
     A.BranchMisses.store(0, std::memory_order_relaxed);
   }
   Dyn.clear();
-  Compiles.store(0, std::memory_order_relaxed);
+  CountedCompiles.store(0, std::memory_order_relaxed);
+  TimedCompiles.store(0, std::memory_order_relaxed);
 }
 
 ProfileSnapshot ProfileRegistry::snapshot() const {
@@ -248,7 +284,7 @@ ProfileSnapshot ProfileRegistry::snapshot() const {
   Out.TicksPerSecond =
       Out.Timebase == ProfileTimebase::Cycles ? profTicksPerSecond() : 0;
   Out.PerfAvailable = perfAvailable();
-  Out.Compiles = Compiles.load(std::memory_order_relaxed);
+  Out.Compiles = TimedCompiles.load(std::memory_order_relaxed);
   Out.NumProds = ProdTicks.size();
   Out.NumStates = StateTicks.size();
   for (size_t I = 0; I < Out.NumStates; ++I) {
@@ -276,7 +312,33 @@ ProfileSnapshot ProfileRegistry::snapshot() const {
     PP.Hw.LlcMisses = A.LlcMisses.load(std::memory_order_relaxed);
     PP.Hw.BranchMisses = A.BranchMisses.load(std::memory_order_relaxed);
   }
-  Out.Dyn = Dyn;
+  if (instrEnabled())
+    for (const auto &[Key, C] : Dyn)
+      Out.Dyn[Key] = C.Cost;
+  return Out;
+}
+
+CoverageSnapshot ProfileRegistry::coverageSnapshot() const {
+  std::lock_guard<std::mutex> Lock(M);
+  CoverageSnapshot Out;
+  Out.Fingerprint = Fingerprint;
+  Out.Compiles = CountedCompiles.load(std::memory_order_relaxed);
+  Out.NumProds = ProdHits.size();
+  Out.NumStates = PushHits.size();
+  Out.NumDynPoints = NumDynPoints;
+  Out.NumRows = RowHits.size();
+  for (size_t I = 0; I < Out.NumProds; ++I)
+    if (uint64_t H = ProdHits.sum(I))
+      Out.ProdHits[static_cast<int>(I)] = H;
+  for (size_t I = 0; I < Out.NumStates; ++I)
+    if (uint64_t H = PushHits.sum(I))
+      Out.StateHits[static_cast<int>(I)] = H;
+  for (size_t I = 0; I < Out.NumRows; ++I)
+    if (uint64_t H = RowHits.sum(I))
+      Out.RowHits[RowNames[I]] = H;
+  if (coverageEnabled())
+    for (const auto &[Key, C] : Dyn)
+      Out.Dyn[Key] = {C.Cost.Events, C.Chosen};
   return Out;
 }
 
@@ -293,21 +355,20 @@ PhaseScope::PhaseScope(PipelinePhase P, RequestBudget *Budget, int64_t Arg,
   flightRecord(P, Arg);
   if (Times)
     WallStart = MonoClock::now();
-  ProfileRegistry &R = profile();
-  if (!Row.ProfileKey || !R.instrEnabled())
+  Gate = profile().gate();
+  if (!Row.ProfileKey || !(Gate & ProfileRegistry::Time))
     return;
-  TB = R.timebase();
-  if (Row.WallOnly && TB == ProfileTimebase::Steps)
+  if (Row.WallOnly && (Gate & ProfileRegistry::Steps))
     return;
   Live = true;
-  if (R.perfEnabled())
+  if (Gate & ProfileRegistry::Perf)
     PerfLive = threadPerf().read(PerfStart);
-  StartTicks = ProfileRegistry::now(TB);
+  StartTicks = ProfileRegistry::now(Gate);
 }
 
 PhaseScope::~PhaseScope() {
   if (Live) {
-    uint64_t Ticks = satSub(ProfileRegistry::now(TB), StartTicks);
+    uint64_t Ticks = satSub(ProfileRegistry::now(Gate), StartTicks);
     HwCounters Now, Delta;
     bool Hw = PerfLive && threadPerf().read(Now);
     if (Hw)
@@ -362,19 +423,6 @@ bool parseCell(const JsonValue &V, ProfCell &C, const char *What,
   return true;
 }
 
-bool parseIntKey(const std::string &Key, int &Out) {
-  if (Key.empty())
-    return false;
-  int V = 0;
-  for (char C : Key) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + (C - '0');
-  }
-  Out = V;
-  return true;
-}
-
 bool parseCellMap(const JsonValue *V, std::map<int, ProfCell> &Out,
                   const char *What, std::string &Err) {
   if (!V || !V->isObject()) {
@@ -384,7 +432,7 @@ bool parseCellMap(const JsonValue *V, std::map<int, ProfCell> &Out,
   for (const auto &[Key, Val] : V->Obj) {
     int Id;
     ProfCell C;
-    if (!parseIntKey(Key, Id) || !parseCell(Val, C, What, Err)) {
+    if (!parseIdKey(Key, Id) || !parseCell(Val, C, What, Err)) {
       if (Err.empty())
         Err = strf("bad key \"%s\" in \"%s\"", Key.c_str(), What);
       return false;
@@ -514,8 +562,8 @@ bool ProfileSnapshot::parse(const JsonValue &V, std::string &Err) {
     size_t Colon = Key.find(':');
     int State, Term;
     if (Colon == std::string::npos ||
-        !parseIntKey(Key.substr(0, Colon), State) ||
-        !parseIntKey(Key.substr(Colon + 1), Term)) {
+        !parseIdKey(Key.substr(0, Colon), State) ||
+        !parseIdKey(Key.substr(Colon + 1), Term)) {
       Err = strf("bad dyn key \"%s\"", Key.c_str());
       return false;
     }

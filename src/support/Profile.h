@@ -1,37 +1,49 @@
-//===- Profile.h - hot-path cost attribution over the tables ----*- C++ -*-===//
+//===- Profile.h - the table-event registry and its views -------*- C++ -*-===//
 //
 // Part of the Graham-Glanville table-driven code generation reproduction.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Cycle-level time attribution for the table-driven hot paths. The
-/// coverage profiler (support/Coverage.h) answers *how often* each
-/// state/production/dyn-tie fires; this subsystem answers *how much it
-/// costs*: the matcher's shift/reduce loop and every code-generation
-/// phase charge timestamp deltas to per-state, per-production,
-/// per-dyn-point and per-phase buckets, and the result dumps as a
-/// versioned `gg-profile-v1` JSON artifact that `gg-report --profile`
-/// merges, ranks by cost, joins against coverage, and diffs against a
-/// PCC-leg profile (`--diff-pcc`). This is the cost half of the PGO loop
-/// the related work describes (Samuelsson's example-based table
-/// optimization; Nederhof & Satta's table-representation wins): open
-/// items 1-2 need to know *where* the 1.95x compile-speed gap lives
-/// before packing or direct-coding the tables.
+/// The one table-event registry: what the table-driven hot paths did and
+/// what it cost. The matcher's shift/reduce loop, the semantic actions'
+/// instruction-table lookups and every code-generation phase record into
+/// it, and it answers through two views:
+///   * coverageSnapshot() — the counts-only `gg-coverage-v1` artifact
+///     (support/Coverage.h): how often each state, production, dyn-tie
+///     point and instruction-table row fires, and which production each
+///     tie chose (`--coverage-json=`);
+///   * snapshot() — the `gg-profile-v1` cost artifact: timestamp deltas
+///     charged to per-state, per-production, per-dyn-point and per-phase
+///     buckets (`--profile=`, `--profile-json=`).
+/// `gg-report` merges either artifact, ranks by cost, joins the two and
+/// diffs against a PCC-leg profile (`--diff-pcc`): the feedback loop the
+/// related work builds on (Samuelsson's example-based table optimization;
+/// Nederhof & Satta's table-representation wins).
 ///
-/// Two modes behind one `--profile=` flag:
+/// The views count the same events where they agree and keep separate
+/// counts where they do not. Tie events are shared: one (state, terminal)
+/// map entry holds the ticks, the event count (coverage "hits", profile
+/// "events") and the chosen-production counts. Coverage states count
+/// pushes (the initial state 0 included) while profile states charge the
+/// acting state of each shift or reduce; coverage productions count
+/// attempted reduces (a failed goto or an underflow included) while
+/// profile productions count completed ones; coverage compiles count GG
+/// compiles only while profile compiles count the PCC baseline's too.
+///
+/// Two profile modes behind one `--profile=` flag:
 ///   * instr — instrumented attribution. Each matcher step charges a
-///     profTicks() delta (rdtsc on x86-64) to the acting state; reduce
-///     steps additionally charge the production, and a reduce at a
-///     deferred reduce/reduce tie charges the dyn point (state, terminal)
-///     with the time from the previous step's end to the tie timestamp.
-///     In the cycles timebase that covers the lookahead's terminal lookup
-///     and the whole lrStep(): action lookup, tie probe, pop and goto
-///     (under steps it is one tick). PhaseScopes charge the pipeline
-///     phases of support/Phase.h. Per-table-region buckets are derived
-///     from the per-state buckets at snapshot time (region = RegionSize
-///     consecutive states of the packed action/goto tables), so regions
-///     cost nothing on the hot path.
+///     profTicks() delta (rdtsc on x86-64) since the previous step's
+///     record to the acting state: in the cycles timebase that covers
+///     the previous step's bookkeeping, the lookahead's terminal lookup
+///     and the whole lrStep(). Reduce steps additionally charge the
+///     production, and a reduce at a deferred reduce/reduce tie charges
+///     the dyn point (state, terminal) with the time up to the tie
+///     timestamp (under steps each is one tick). PhaseScopes charge the
+///     pipeline phases of support/Phase.h. Per-table-region buckets are
+///     derived from the per-state buckets at snapshot time (region =
+///     RegionSize consecutive states of the packed action/goto tables),
+///     so regions cost nothing on the hot path.
 ///   * perf — instr plus hardware counters via perf_event_open (cycles,
 ///     instructions, L1d/LLC misses, branch mispredicts), sampled at
 ///     phase-scope boundaries per thread and summed per phase. When the
@@ -52,18 +64,22 @@
 ///     (cg.total) are wall-only and skipped under steps, keeping the
 ///     key set schedule-independent too.
 ///
-/// Design constraints mirror support/Coverage.h, in order:
-///   1. *Off is free.* One relaxed load gates everything; the default-off
-///      registry adds no measurable cost (bench sentinel clean).
-///   2. *On is cheap.* Hot buckets are per-thread shards of plain atomic
-///      arrays (support/Sharded.h — shared with Coverage); instr mode
-///      costs < 10% on bench_compile_speed.
-///   3. *Deterministic bucket keys.* Which buckets exist is decided by
-///      the input at any thread count; under the steps timebase the
-///      values are too.
+/// Design constraints, in order:
+///   1. *Off is free.* One relaxed load of the gate word per tree (or
+///      per phase scope) gates everything; the default-off registry adds
+///      no measurable cost.
+///   2. *On is cheap and thread-safe.* Hot buckets are per-thread shards
+///      of plain atomic arrays (support/Sharded.h): no locks and no
+///      hashing per shift or reduce. Only tie events, orders of magnitude
+///      rarer, take the mutex-guarded dyn map.
+///   3. *Deterministic artifacts.* Every count, and every bucket key, is
+///      a property of the input at any thread count; under the steps
+///      timebase the tick values are too.
 ///
-/// Sizing (`sizeGrammar`) is serial-only, exactly like Coverage: targets
-/// are constructed before compile workers start.
+/// Sizing (`sizeTables`) must happen while no thread is recording: targets
+/// are constructed serially (VaxTarget::create) before compile workers
+/// start. Growth retires the previous counter store instead of freeing
+/// it, so a racing recorder never touches freed memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +87,7 @@
 #define GG_SUPPORT_PROFILE_H
 
 #include "support/Clock.h"
+#include "support/Coverage.h"
 #include "support/Phase.h"
 #include "support/Sharded.h"
 #include "support/Trace.h"
@@ -80,6 +97,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace gg {
 
@@ -174,70 +192,113 @@ struct ProfileSnapshot {
   bool merge(const ProfileSnapshot &Other, std::string &Err);
 };
 
-/// The process-wide profiling registry. All hot-path recording funnels
-/// through the free function profile() below.
+/// One LR step as the registry records it: the fields of match/Matcher.h's
+/// StepEvent that name table cells. A shift has Prod = -1; a reduce whose
+/// goto failed or whose stack underflowed has Pushed = -1.
+struct TableStep {
+  int State = -1;   ///< the acting state (the stack top before the step)
+  int Pushed = -1;  ///< the state pushed, or -1
+  int Prod = -1;    ///< the production reduced by, or -1
+  int Term = -1;    ///< the lookahead's terminal index
+  bool Tie = false; ///< the reduce is a deferred reduce/reduce tie point
+};
+
+/// The process-wide table-event registry. All recording funnels through
+/// the free function profile() below.
 class ProfileRegistry {
 public:
   static ProfileRegistry &global();
 
-  /// Selects the mode and timebase. Serial-only (drivers configure
-  /// before compiling). Perf mode arms the per-thread hardware-counter
-  /// groups lazily; if perf_event_open fails the mode quietly degrades
-  /// to instrumented timing and perfAvailable() reports false.
+  /// Bits of the gate word, the one relaxed load a hot path reads.
+  enum GateBit : uint8_t {
+    Count = 1, ///< count table events (the coverage view)
+    Time = 2,  ///< charge tick deltas (the profile view; instr or perf)
+    Perf = 4,  ///< also sample hardware counters per phase
+    Steps = 8, ///< the profile's timebase is steps, not cycles
+    Record = Count | Time,
+  };
+  /// The gate word, or 0 when neither counting nor timing is on.
+  uint8_t gate() const {
+    uint8_t G = Word.load(std::memory_order_relaxed);
+    return G & Record ? G : 0;
+  }
+
+  /// Turns counting on (it is off, and free, by default) or off again.
+  /// Serial-only, like configure(): the drivers enable it before
+  /// compiling when a `--coverage-json=` destination is given.
+  void enableCoverage(bool On = true) {
+    if (On)
+      Word.fetch_or(Count, std::memory_order_relaxed);
+    else
+      Word.fetch_and(static_cast<uint8_t>(~Count), std::memory_order_relaxed);
+  }
+  bool coverageEnabled() const { return gate() & Count; }
+
+  /// Selects the profile mode and timebase, leaving counting as it is.
+  /// Serial-only (drivers configure before compiling). Perf mode arms the
+  /// per-thread hardware-counter groups lazily; if perf_event_open fails
+  /// the mode quietly degrades to instrumented timing and perfAvailable()
+  /// reports false.
   void configure(ProfileMode Mode, ProfileTimebase TB = ProfileTimebase::Cycles);
 
   ProfileMode mode() const {
-    return static_cast<ProfileMode>(ModeA.load(std::memory_order_relaxed));
+    uint8_t G = gate();
+    return G & Perf ? ProfileMode::Perf
+                    : G & Time ? ProfileMode::Instr : ProfileMode::Off;
   }
   ProfileTimebase timebase() const {
-    return static_cast<ProfileTimebase>(
-        TimebaseA.load(std::memory_order_relaxed));
+    return Word.load(std::memory_order_relaxed) & Steps
+               ? ProfileTimebase::Steps
+               : ProfileTimebase::Cycles;
   }
-  /// The hot-path gate: one relaxed load, false (and free) by default.
-  bool instrEnabled() const {
-    return ModeA.load(std::memory_order_relaxed) !=
-           static_cast<uint8_t>(ProfileMode::Off);
-  }
-  bool perfEnabled() const {
-    return ModeA.load(std::memory_order_relaxed) ==
-           static_cast<uint8_t>(ProfileMode::Perf);
-  }
+  bool instrEnabled() const { return gate() & Time; }
+  bool perfEnabled() const { return gate() & Perf; }
 
-  /// Current timestamp in timebase \p TB. Cycles: profTicks(). Steps: a
-  /// thread-local counter incremented per call, so consecutive reads on
-  /// one thread differ by exactly 1 — a deterministic virtual clock.
-  static uint64_t now(ProfileTimebase TB) {
-    if (TB == ProfileTimebase::Cycles)
+  /// Current timestamp in the timebase of gate word \p G. Cycles:
+  /// profTicks(). Steps: a thread-local counter incremented per call, so
+  /// consecutive reads on one thread differ by exactly 1 — a
+  /// deterministic virtual clock.
+  static uint64_t now(uint8_t G) {
+    if (!(G & Steps))
       return profTicks();
     static thread_local uint64_t StepCounter = 0;
     return ++StepCounter;
   }
 
-  /// Hot-path recorders (sharded atomics; callers pre-check
-  /// instrEnabled() and pass measured deltas). Out-of-range ids are
-  /// dropped, never asserted.
-  void chargeState(int State, uint64_t Ticks) {
-    StateTicks.add(State, Ticks);
-    StateEvents.add(State, 1);
+  /// Records one matcher step under gate word \p G (read once per tree;
+  /// callers skip the call when it is 0). Counting bumps the pushed
+  /// state and the attempted production; timing charges the acting state
+  /// and a completed reduce's production the delta since \p LastTs and
+  /// returns the new timestamp (\p LastTs itself when nothing was timed).
+  /// A tie also lands in the dyn map. Out-of-range ids are dropped, never
+  /// asserted: a stale artifact is better than a crashed compiler.
+  uint64_t noteStep(uint8_t G, const TableStep &S, uint64_t LastTs);
+  /// One consultation of instruction-table row \p Row (counting only).
+  void noteInstrRow(int Row) {
+    if (coverageEnabled())
+      RowHits.add(Row, 1);
   }
-  void chargeProd(int Prod, uint64_t Ticks) {
-    ProdTicks.add(Prod, Ticks);
-    ProdEvents.add(Prod, 1);
-  }
-  /// Dyn-tie events are rare (one per deferred reduce/reduce tie hit),
-  /// so a mutex-guarded map suffices, exactly as in Coverage.
-  void chargeDyn(int State, int TermIdx, uint64_t Ticks);
   /// One phase event: dense atomics (no lookup); \p Hw is the perf-mode
   /// counter delta, or null.
   void chargePhase(PipelinePhase P, uint64_t Ticks, const HwCounters *Hw);
-  void noteCompile() {
-    if (instrEnabled())
-      Compiles.fetch_add(1, std::memory_order_relaxed);
+  /// One compile() call; \p Baseline marks the PCC leg, which only the
+  /// profile view counts.
+  void noteCompile(bool Baseline = false) {
+    uint8_t G = gate();
+    if ((G & Count) && !Baseline)
+      CountedCompiles.fetch_add(1, std::memory_order_relaxed);
+    if (G & Time)
+      TimedCompiles.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Sizes the state/production buckets (grow-only; serial-only, same
-  /// contract as CoverageRegistry::sizeGrammar).
-  void sizeGrammar(size_t NumProds, size_t NumStates);
+  /// Sizes every table-indexed bucket (grow-only): productions, states,
+  /// the dyn-point total used for utilization reporting, and the
+  /// instruction-table rows by name (row id = index into \p RowNames).
+  /// Serial-only; see the file comment.
+  void sizeTables(size_t NumProds, size_t NumStates, size_t NumDynPoints,
+                  const std::vector<std::string> &RowNames);
+  /// Sets the grammar/tables identity both artifacts embed, so `gg-report`
+  /// can decide whether its freshly built target's names apply to a file.
   void setFingerprint(const std::string &HexFP);
 
   /// True when perf mode has successfully opened hardware counters on at
@@ -253,23 +314,28 @@ public:
   }
   void notePerfOpened() { PerfOpened.store(true, std::memory_order_relaxed); }
 
-  /// Zeroes all buckets (mode, sizes and fingerprint stay).
+  /// Zeroes every count and bucket (gate, sizes, names and fingerprint
+  /// stay).
   void reset();
 
-  /// Sums the shards into a plain artifact / its JSON rendering.
+  /// Sums the shards into the profile view / its JSON rendering. The
+  /// shared tie events appear only while timing is on.
   ProfileSnapshot snapshot() const;
   std::string toJson() const { return snapshot().toJson(); }
+  /// Sums the shards into the coverage view. The shared tie events
+  /// appear only while counting is on.
+  CoverageSnapshot coverageSnapshot() const;
 
 private:
   ProfileRegistry() = default;
 
-  std::atomic<uint8_t> ModeA{static_cast<uint8_t>(ProfileMode::Off)};
-  std::atomic<uint8_t> TimebaseA{static_cast<uint8_t>(ProfileTimebase::Cycles)};
+  std::atomic<uint8_t> Word{0}; ///< GateBit set; see gate()
   std::atomic<bool> PerfOpened{false};
   std::atomic<bool> PerfForcedOff{false};
-  std::atomic<uint64_t> Compiles{0};
+  std::atomic<uint64_t> CountedCompiles{0}, TimedCompiles{0};
 
-  ShardedCounters StateTicks, StateEvents, ProdTicks, ProdEvents;
+  ShardedCounters PushHits, ProdHits, RowHits;              ///< counting
+  ShardedCounters StateTicks, StateEvents, ProdTicks, ProdEvents; ///< timing
 
   struct PhaseAcc {
     std::atomic<uint64_t> Ticks{0}, Events{0};
@@ -278,9 +344,18 @@ private:
   };
   PhaseAcc PhaseAccs[NumPipelinePhases];
 
-  mutable std::mutex M; ///< sizing, fingerprint, dyn map
+  /// One tie point's events: ticks while timing, chosen productions while
+  /// counting, and the event count either way.
+  struct DynCell {
+    ProfCell Cost;
+    std::map<int, uint64_t> Chosen;
+  };
+
+  mutable std::mutex M; ///< sizing, names, fingerprint, dyn map
+  std::vector<std::string> RowNames;
   std::string Fingerprint;
-  std::map<std::pair<int, int>, ProfCell> Dyn;
+  size_t NumDynPoints = 0;
+  std::map<std::pair<int, int>, DynCell> Dyn;
 };
 
 /// Shorthand for the global registry.
@@ -304,7 +379,7 @@ private:
   PhaseTimes *Times;
   TraceSpan Span;
   MonoClock::time_point WallStart;
-  ProfileTimebase TB = ProfileTimebase::Cycles;
+  uint8_t Gate = 0;
   uint64_t StartTicks = 0;
   bool Live = false;
   bool PerfLive = false;

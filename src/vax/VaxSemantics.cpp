@@ -1,8 +1,8 @@
 //===- VaxSemantics.cpp - phase-3 instruction generation ---------------------===//
 
 #include "vax/VaxSemantics.h"
-#include "support/Coverage.h"
 #include "support/Error.h"
+#include "support/Profile.h"
 #include "support/Strings.h"
 
 #include <cstring>
@@ -11,14 +11,14 @@ using namespace gg;
 
 namespace {
 
-/// Records a consultation of a Figure-3 row for the coverage profiler;
-/// when coverage is off both forms cost one relaxed load.
-void covRow(const InstCluster &C) { coverage().noteInstrRow(clusterId(C)); }
+/// Records a consultation of a Figure-3 row in the table-event registry;
+/// when counting is off both forms cost one relaxed load.
+void covRow(const InstCluster &C) { profile().noteInstrRow(clusterId(C)); }
 void covRowByTag(std::string_view TagBase) {
-  if (!coverage().enabled())
+  if (!profile().coverageEnabled())
     return;
   if (const InstCluster *C = findCluster(TagBase))
-    coverage().noteInstrRow(clusterId(*C));
+    profile().noteInstrRow(clusterId(*C));
 }
 
 } // namespace

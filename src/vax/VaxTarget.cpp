@@ -1,7 +1,6 @@
 //===- VaxTarget.cpp - bundled VAX tables and matcher ------------------------===//
 
 #include "vax/VaxTarget.h"
-#include "support/Coverage.h"
 #include "support/Profile.h"
 #include "support/Strings.h"
 #include "support/Trace.h"
@@ -55,15 +54,16 @@ VaxTarget::create(std::string &Err, const VaxGrammarOptions &GrammarOpts,
   }
   T->Packed = PackedTables::pack(T->Build.Tables);
   T->M = std::make_unique<Matcher>(T->G, T->Packed, MatchOpts);
-  // Register the coverage dimensions while target construction is still
-  // serial: instruction-table rows by name, and the grammar/tables
-  // identity embedded in every gg-coverage-v1 / gg-profile-v1 artifact.
+  // Size the table-event registry while target construction is still
+  // serial (workers never resize; see support/Profile.h): productions,
+  // states, dyn points, instruction-table rows by name, and the
+  // grammar/tables identity both artifacts embed.
   std::vector<std::string> Rows;
   Rows.reserve(numClusters());
   for (size_t I = 0; I < numClusters(); ++I)
     Rows.push_back(clusterAt(I).Tag);
-  coverage().sizeInstrRows(Rows);
-  coverage().setFingerprint(fingerprint(T->G, T->Packed));
+  profile().sizeTables(T->G.numProductions(), T->Packed.numStates(),
+                       T->Packed.numDynPoints(), Rows);
   profile().setFingerprint(fingerprint(T->G, T->Packed));
   return T;
 }

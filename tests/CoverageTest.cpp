@@ -1,9 +1,10 @@
 //===- CoverageTest.cpp - table coverage profiler tests -----------------------===//
 //
-// Covers the gg-coverage-v1 pipeline end to end: registry recording
+// Covers the gg-coverage-v1 pipeline end to end: the registry's counting
 // semantics (off-by-default, sharded counters, out-of-range safety),
 // artifact serialization and merging, and the determinism contract — the
-// artifact for a given input is byte-identical at any worker count.
+// artifact for a given input is byte-identical at any worker count and
+// with the profile view on or off.
 //
 // The registry is process-global; ctest runs each TEST in its own process
 // (gtest_discover_tests), so every test starts from the default-off state.
@@ -12,8 +13,8 @@
 
 #include "cg/CodeGenerator.h"
 #include "frontend/Parser.h"
-#include "support/Coverage.h"
 #include "support/Json.h"
+#include "support/Profile.h"
 #include "vax/VaxTarget.h"
 #include "workload/ProgramGen.h"
 
@@ -26,64 +27,72 @@ using namespace gg;
 
 namespace {
 
+// The counts-only view of the one table-event registry (support/Profile.h).
 TEST(CoverageRegistry, OffByDefaultThenRecords) {
-  CoverageRegistry &R = coverage();
-  R.sizeGrammar(8, 8, 4);
-  R.noteReduce(1);
-  R.noteStateVisit(2);
-  R.noteDynChoice(3, 0, 1);
+  ProfileRegistry &R = profile();
+  R.sizeTables(8, 8, 4, {"mov"});
+  EXPECT_EQ(R.gate(), 0u) << "recording must be off by default";
+  R.noteInstrRow(0);
   R.noteCompile();
-  CoverageSnapshot Off = R.snapshot();
+  CoverageSnapshot Off = R.coverageSnapshot();
   EXPECT_TRUE(Off.ProdHits.empty()) << "recording while disabled";
   EXPECT_TRUE(Off.StateHits.empty());
+  EXPECT_TRUE(Off.RowHits.empty());
   EXPECT_TRUE(Off.Dyn.empty());
   EXPECT_EQ(Off.Compiles, 0u);
 
-  R.enable();
-  R.noteReduce(1);
-  R.noteReduce(1);
-  R.noteStateVisit(2);
-  R.noteDynChoice(3, 0, 1);
+  R.enableCoverage();
+  const uint8_t G = R.gate();
+  EXPECT_EQ(G, ProfileRegistry::Count);
+  R.noteStep(G, {0, 2, 1}, 0);            // reduce by 1, push 2
+  R.noteStep(G, {3, 2, 1, 0, true}, 0);   // the same at tie point (3, 0)
+  R.noteStep(G, {3, -1, 1, 0, true}, 0);  // ... whose goto then fails
+  R.noteInstrRow(0);
   R.noteCompile();
-  CoverageSnapshot On = R.snapshot();
-  EXPECT_EQ(On.ProdHits[1], 2u);
-  EXPECT_EQ(On.StateHits[2], 1u);
-  EXPECT_EQ((On.Dyn[{3, 0}].Hits), 1u);
-  EXPECT_EQ((On.Dyn[{3, 0}].Chosen[1]), 1u);
+  CoverageSnapshot On = R.coverageSnapshot();
+  EXPECT_EQ(On.ProdHits[1], 3u) << "attempted reduces count";
+  EXPECT_EQ(On.StateHits[2], 2u) << "pushes count";
+  EXPECT_EQ((On.Dyn[{3, 0}].Hits), 2u);
+  EXPECT_EQ((On.Dyn[{3, 0}].Chosen[1]), 2u);
+  EXPECT_EQ(On.RowHits["mov"], 1u);
   EXPECT_EQ(On.Compiles, 1u);
   EXPECT_EQ(On.NumProds, 8u);
   EXPECT_EQ(On.NumDynPoints, 4u);
+  // Counting alone charges no time: the profile view stays empty.
+  ProfileSnapshot P = R.snapshot();
+  EXPECT_TRUE(P.States.empty());
+  EXPECT_TRUE(P.Prods.empty());
+  EXPECT_TRUE(P.Dyn.empty());
+  EXPECT_EQ(P.Compiles, 0u);
 }
 
 TEST(CoverageRegistry, OutOfRangeIdsAreDroppedNotFatal) {
-  CoverageRegistry &R = coverage();
-  R.enable();
-  R.sizeGrammar(4, 4, 0);
+  ProfileRegistry &R = profile();
+  R.enableCoverage();
+  R.sizeTables(4, 4, 0, {});
   R.reset(); // counter sizes are grow-only and process-global; start clean
-  R.noteReduce(-1);
-  R.noteReduce(1 << 20);
-  R.noteStateVisit(-7);
-  R.noteStateVisit(1 << 20);
+  const uint8_t G = R.gate();
+  R.noteStep(G, {0, -7, -1}, 0);
+  R.noteStep(G, {0, 1 << 20, 1 << 20}, 0);
   R.noteInstrRow(1 << 20);
-  CoverageSnapshot S = R.snapshot();
+  CoverageSnapshot S = R.coverageSnapshot();
   EXPECT_TRUE(S.ProdHits.empty());
   EXPECT_TRUE(S.StateHits.empty());
   EXPECT_TRUE(S.RowHits.empty());
 }
 
 TEST(CoverageRegistry, ResetZeroesHitsAndKeepsShape) {
-  CoverageRegistry &R = coverage();
-  R.enable();
-  R.sizeGrammar(8, 8, 4);
-  R.sizeInstrRows({"mov", "add"});
+  ProfileRegistry &R = profile();
+  R.enableCoverage();
+  R.sizeTables(8, 8, 4, {"mov", "add"});
   R.setFingerprint("deadbeef00000000");
-  R.noteReduce(3);
+  R.noteStep(R.gate(), {1, 2, 3, 1, true}, 0);
   R.noteInstrRow(0);
-  R.noteDynChoice(1, 1, 3);
   R.noteCompile();
   R.reset();
-  CoverageSnapshot S = R.snapshot();
+  CoverageSnapshot S = R.coverageSnapshot();
   EXPECT_TRUE(S.ProdHits.empty());
+  EXPECT_TRUE(S.StateHits.empty());
   EXPECT_TRUE(S.RowHits.empty());
   EXPECT_TRUE(S.Dyn.empty());
   EXPECT_EQ(S.Compiles, 0u);
@@ -93,22 +102,21 @@ TEST(CoverageRegistry, ResetZeroesHitsAndKeepsShape) {
 }
 
 TEST(CoverageRegistry, ShardsSumExactlyUnderContention) {
-  CoverageRegistry &R = coverage();
-  R.enable();
-  R.sizeGrammar(4, 4, 0);
+  ProfileRegistry &R = profile();
+  R.enableCoverage();
+  R.sizeTables(4, 4, 0, {});
   R.reset();
+  const uint8_t G = R.gate();
   constexpr int Threads = 8, PerThread = 20000;
   std::vector<std::thread> Pool;
   for (int T = 0; T < Threads; ++T)
-    Pool.emplace_back([&R] {
-      for (int I = 0; I < PerThread; ++I) {
-        R.noteReduce(2);
-        R.noteStateVisit(I & 3);
-      }
+    Pool.emplace_back([&R, G] {
+      for (int I = 0; I < PerThread; ++I)
+        R.noteStep(G, {0, I & 3, 2}, 0);
     });
   for (std::thread &T : Pool)
     T.join();
-  CoverageSnapshot S = R.snapshot();
+  CoverageSnapshot S = R.coverageSnapshot();
   EXPECT_EQ(S.ProdHits[2], uint64_t(Threads) * PerThread);
   uint64_t StateTotal = 0;
   for (const auto &[Id, H] : S.StateHits)
@@ -160,6 +168,11 @@ TEST(CoverageSnapshot, ParseRejectsJunk) {
                        "\"dyn\":{},\"instr_rows\":{}}",
                        Err))
       << "non-numeric production key must be rejected";
+  EXPECT_FALSE(S.parse("{\"schema\":\"gg-coverage-v1\",\"shape\":{},"
+                       "\"productions\":{\"99999999999\":1},\"states\":{},"
+                       "\"dyn\":{},\"instr_rows\":{}}",
+                       Err))
+      << "a production key above INT_MAX must be rejected, not wrapped";
 }
 
 TEST(CoverageSnapshot, MergeSumsAndChecksIdentity) {
@@ -202,7 +215,7 @@ TEST(CoverageSnapshot, MergeSumsAndChecksIdentity) {
 //===----------------------------------------------------------------------===//
 
 std::string compileCorpusAndSnapshot(const VaxTarget &Target, int Threads) {
-  coverage().reset();
+  profile().reset();
   for (int Case = 0; Case < 6; ++Case) {
     GenOptions GOpts;
     GOpts.Functions = 4 + Case % 3;
@@ -217,14 +230,14 @@ std::string compileCorpusAndSnapshot(const VaxTarget &Target, int Threads) {
     std::string Asm, Err;
     EXPECT_TRUE(CG.compile(P, Asm, Err)) << Err;
   }
-  return coverage().toJson();
+  return profile().coverageSnapshot().toJson();
 }
 
 TEST(CoveragePipeline, RealCompileRecordsEverything) {
   std::string Err;
   std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
   ASSERT_TRUE(Target) << Err;
-  coverage().enable();
+  profile().enableCoverage();
 
   Program P;
   DiagnosticSink Diags;
@@ -236,7 +249,7 @@ TEST(CoveragePipeline, RealCompileRecordsEverything) {
   std::string Asm;
   ASSERT_TRUE(CG.compile(P, Asm, Err)) << Err;
 
-  CoverageSnapshot S = coverage().snapshot();
+  CoverageSnapshot S = profile().coverageSnapshot();
   EXPECT_EQ(S.Compiles, 1u);
   EXPECT_EQ(S.NumProds, Target->grammar().numProductions());
   EXPECT_FALSE(S.ProdHits.empty());
@@ -254,7 +267,7 @@ TEST(CoveragePipeline, ArtifactIdenticalAcrossWorkerCounts) {
   std::string Err;
   std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
   ASSERT_TRUE(Target) << Err;
-  coverage().enable();
+  profile().enableCoverage();
 
   std::string Baseline = compileCorpusAndSnapshot(*Target, 1);
   ASSERT_NE(Baseline.find("\"productions\":{\""), std::string::npos)
@@ -262,6 +275,30 @@ TEST(CoveragePipeline, ArtifactIdenticalAcrossWorkerCounts) {
   for (int Threads : {2, 4, 8})
     EXPECT_EQ(compileCorpusAndSnapshot(*Target, Threads), Baseline)
         << "coverage artifact drifted at --threads=" << Threads;
+}
+
+// Both artifacts are views of one store: turning the other view on must
+// not change a byte of either. Each view is compiled solo, then both
+// together, at four workers.
+TEST(CoveragePipeline, EachArtifactMatchesItsSoloRun) {
+  std::string Err;
+  std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
+  ASSERT_TRUE(Target) << Err;
+  auto Artifacts = [&](bool Count, bool Time) {
+    profile().enableCoverage(Count);
+    profile().configure(Time ? ProfileMode::Instr : ProfileMode::Off,
+                        ProfileTimebase::Steps);
+    std::string Cov = compileCorpusAndSnapshot(*Target, 4);
+    return std::make_pair(Cov, profile().toJson());
+  };
+  const std::string CovSolo = Artifacts(true, false).first;
+  const std::string ProfSolo = Artifacts(false, true).second;
+  const auto [Cov, Prof] = Artifacts(true, true);
+  ASSERT_NE(CovSolo.find("\"dyn\":{\""), std::string::npos)
+      << "the corpus must reach a tie point, whose events both views share";
+  ASSERT_NE(ProfSolo.find("\"states\":{\""), std::string::npos);
+  EXPECT_EQ(Cov, CovSolo) << "profiling changed the coverage artifact";
+  EXPECT_EQ(Prof, ProfSolo) << "coverage changed the profile artifact";
 }
 
 } // namespace

@@ -191,6 +191,10 @@ TEST(Parser, Diagnostics) {
   expectError("int main() { int i; int j; int k;\n"
               "  for (i = 0; i < 3; k i j += 1) { }\n  return 0; }",
               "after for step");
+  expectError("int main() { int a[4]; int k; a[&k] = 1; return 0; }",
+              "array index is a pointer");
+  expectError("int main() { int c; c = 1; return &c; }",
+              "returning a pointer from a non-pointer function");
 }
 
 TEST(Parser, ImplicitReturnZero) {

@@ -4,7 +4,7 @@
 #include "frontend/Parser.h"
 #include "fuzz/TableSim.h"
 #include "match/Matcher.h"
-#include "support/Coverage.h"
+#include "support/Profile.h"
 #include "mdl/SpecParser.h"
 #include "tablegen/TableBuilder.h"
 #include "workload/ProgramGen.h"
@@ -240,9 +240,10 @@ TEST(LrStep, TieFlagMarksTheDeferredReduce) {
   EXPECT_NE(B.P->dynChoicesAt(E.State, G.termIndex(G.eofSymbol())), nullptr);
 }
 
-/// Runs \p Names through the real Matcher (observed via the coverage
-/// registry) and through TableSim on the same tables, and checks that both
-/// report the same reductions, state visits, tie points and verdict.
+/// Runs \p Names through the real Matcher (observed via the table-event
+/// registry's coverage view) and through TableSim on the same tables, and
+/// checks that both report the same reductions, state visits, tie points
+/// and verdict.
 void expectMatcherAgreesWithSim(const Built &B,
                                 const std::vector<std::string> &Names) {
   SCOPED_TRACE(::testing::PrintToString(Names));
@@ -252,10 +253,12 @@ void expectMatcherAgreesWithSim(const Built &B,
     Input.push_back({N, nullptr});
     Idxs.push_back(B.G.termIndexOf(N));
   }
-  coverage().enable();
-  coverage().reset();
+  profile().enableCoverage();
+  profile().sizeTables(B.G.numProductions(), B.P->numStates(),
+                       B.P->numDynPoints(), {});
+  profile().reset();
   const MatchResult MR = B.M->match(Input);
-  const CoverageSnapshot Cov = coverage().snapshot();
+  const CoverageSnapshot Cov = profile().coverageSnapshot();
   const SimTrace Tr = TableSim(B.G, *B.P).run(Idxs);
 
   EXPECT_EQ(MR.Ok, Tr.Accepted) << MR.Error << " / " << Tr.Error;

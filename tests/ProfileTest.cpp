@@ -116,24 +116,32 @@ TEST(ProfileRegistry, OffByDefaultAndStepsAreDeterministic) {
 TEST(ProfileRegistry, ChargesAndResetKeepsShape) {
   ProfileRegistry &R = profile();
   R.configure(ProfileMode::Instr, ProfileTimebase::Steps);
-  R.sizeGrammar(8, 16);
+  R.sizeTables(8, 16, 0, {});
   R.setFingerprint("deadbeef00000000");
-  R.chargeState(3, 10);
-  R.chargeState(3, 5);
-  R.chargeProd(2, 7);
-  R.chargeDyn(4, 1, 9);
-  R.chargeState(-1, 99);     // dropped, not fatal
-  R.chargeState(1 << 20, 1); // dropped
+  // Under steps every timestamp is one tick after the previous one.
+  const uint8_t G = R.gate();
+  uint64_t Ts = ProfileRegistry::now(G);
+  Ts = R.noteStep(G, {3, 5}, Ts);              // shift: state 3 +1
+  Ts = R.noteStep(G, {3, 6, 2}, Ts);           // reduce: state 3 +1, prod 2 +1
+  Ts = R.noteStep(G, {4, 6, 2, 1, true}, Ts);  // tie: dyn +1, prod +1, state +2
+  Ts = R.noteStep(G, {4, -1, 2, 1, true}, Ts); // failed goto: only the tie
+  R.noteStep(G, {-1, 5}, Ts);                  // dropped, not fatal
+  R.noteStep(G, {1 << 20, 5}, Ts);             // dropped
   R.noteCompile();
+  R.noteCompile(/*Baseline=*/true);
 
   ProfileSnapshot S = R.snapshot();
-  EXPECT_EQ(S.States[3].Ticks, 15u);
+  EXPECT_EQ(S.States[3].Ticks, 2u);
   EXPECT_EQ(S.States[3].Events, 2u);
-  EXPECT_EQ(S.Prods[2].Ticks, 7u);
-  EXPECT_EQ((S.Dyn[{4, 1}].Ticks), 9u);
-  EXPECT_EQ((S.Dyn[{4, 1}].Events), 1u);
-  EXPECT_EQ(S.States.size(), 1u) << "out-of-range charges must be dropped";
-  EXPECT_EQ(S.Compiles, 1u);
+  EXPECT_EQ(S.States[4].Ticks, 2u);
+  EXPECT_EQ(S.Prods[2].Ticks, 2u);
+  EXPECT_EQ(S.Prods[2].Events, 2u) << "completed reduces only";
+  EXPECT_EQ((S.Dyn[{4, 1}].Ticks), 2u);
+  EXPECT_EQ((S.Dyn[{4, 1}].Events), 2u);
+  EXPECT_EQ(S.States.size(), 2u) << "out-of-range charges must be dropped";
+  EXPECT_TRUE(R.coverageSnapshot().Dyn.empty())
+      << "tie events reach the coverage view only while counting";
+  EXPECT_EQ(S.Compiles, 2u) << "the profile view counts PCC compiles too";
   EXPECT_EQ(S.NumProds, 8u);
   EXPECT_EQ(S.NumStates, 16u);
   EXPECT_EQ(S.Fingerprint, "deadbeef00000000");
@@ -205,6 +213,11 @@ TEST(ProfileSnapshot, ParseRejectsJunk) {
                        "\"phases\":{},\"states\":{},\"productions\":{},"
                        "\"dyn\":{\"nocolon\":{}}}",
                        Err));
+  EXPECT_FALSE(S.parse("{\"schema\":\"gg-profile-v1\",\"shape\":{},"
+                       "\"phases\":{},\"states\":{},\"productions\":{},"
+                       "\"dyn\":{\"1:99999999999\":{}}}",
+                       Err))
+      << "a dyn key above INT_MAX must be rejected, not wrapped";
 }
 
 TEST(ProfileSnapshot, MergeSumsAndChecksIdentity) {
@@ -302,6 +315,7 @@ TEST(ProfilePipeline, OffRecordsNothing) {
   // process, but the sanitizer legs run several tests in one process and
   // the registry is process-global.
   profile().configure(ProfileMode::Off);
+  profile().enableCoverage(false);
   profile().reset();
   std::unique_ptr<VaxTarget> Target = mustTarget();
   compileOne(*Target, kProgram);
@@ -310,6 +324,12 @@ TEST(ProfilePipeline, OffRecordsNothing) {
   EXPECT_TRUE(S.States.empty());
   EXPECT_TRUE(S.Prods.empty());
   EXPECT_EQ(S.Compiles, 0u);
+  // Nor does the counting view: the matcher's one gate is closed.
+  CoverageSnapshot C = profile().coverageSnapshot();
+  EXPECT_TRUE(C.StateHits.empty());
+  EXPECT_TRUE(C.ProdHits.empty());
+  EXPECT_TRUE(C.RowHits.empty());
+  EXPECT_EQ(C.Compiles, 0u);
 }
 
 TEST(ProfilePipeline, RealCompileAttributesCost) {
