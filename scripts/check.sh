@@ -306,7 +306,10 @@ echo "== profile smoke (gg-profile-v1 artifacts through gg-report)"
 # Compile the generated corpus under --profile=instr and feed the artifact
 # through gg-report: it must parse, merge, rank, and attribute >= 90% of
 # the GG matcher+codegen wall time (cg.total) to the instrumented phases.
-"$BUILD_DIR"/examples/compile_minic --gen-corpus=24 \
+# One worker: phase ticks are summed over workers and cg.total is wall
+# time, so only a serial run can fail the gate (gg-report also rejects a
+# share above 100%).
+"$BUILD_DIR"/examples/compile_minic --gen-corpus=24 --threads=1 \
   --profile=instr --profile-json="$TMP/corpus.prof.json" >/dev/null 2>&1
 json_check "$TMP/corpus.prof.json"
 grep -q '"schema":"gg-profile-v1"' "$TMP/corpus.prof.json" ||

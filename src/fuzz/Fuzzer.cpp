@@ -76,7 +76,7 @@ Fuzzer::Fuzzer(const VaxTarget &Target)
     if (Lin.size() < Names.size())
       return false;
     for (size_t I = 0; I < Names.size(); ++I)
-      if (Lin[I].Term != Names[I])
+      if (tokenName(Lin[I].Code) != Names[I])
         return false;
     return true;
   });
@@ -134,7 +134,7 @@ std::vector<SynthStmt> Fuzzer::plan(const FuzzOptions &Opts,
       return false;
     SynthStmt S;
     for (const LinToken &L : linearize(Tree))
-      S.Tokens.push_back(L.Term);
+      S.Tokens.push_back(tokenName(L.Code));
     if (S.Tokens.size() < Names.size())
       return false;
     for (size_t I = 0; I < Names.size(); ++I)

@@ -824,13 +824,13 @@ bool TreeSynth::buildProgram(const std::vector<SynthStmt> &Stmts,
       bool LinOk = Lin.size() >= CheckLen &&
                    (S.ExpectBlocked || Lin.size() == CheckLen);
       for (size_t I = 0; LinOk && I < CheckLen; ++I)
-        LinOk = Lin[I].Term == S.Tokens[I];
+        LinOk = tokenName(Lin[I].Code) == S.Tokens[I];
       if (!LinOk) {
         std::string Want, Got;
         for (const std::string &T : S.Tokens)
           Want += T + " ";
         for (const LinToken &L : Lin)
-          Got += L.Term + " ";
+          Got += tokenName(L.Code) + " ";
         Err = strf("bound tree re-linearizes differently from its witness "
                    "sentence (statement %zu)\n  witness: %s\n  bound:   %s",
                    Global, Want.c_str(), Got.c_str());

@@ -11,8 +11,10 @@
 using namespace gg;
 
 Matcher::Matcher(const Grammar &G, const PackedTables &T, MatcherOptions Opts)
-    : G(G), T(T), Opts(Opts) {
+    : G(G), T(T), Opts(Opts), TermOfCode(NumTokenCodes) {
   assert(G.isFrozen() && "matcher requires a frozen grammar");
+  for (TokenCode C = 0; C < NumTokenCodes; ++C)
+    TermOfCode[C] = G.termIndexOf(tokenName(C));
 }
 
 std::string BlockReport::render() const {
@@ -96,14 +98,21 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
   TraceSpan Span("match.tree");
   ++NumTrees;
 
+  // Without epsilon rules the stack is at most shifts + 1 deep, so one
+  // reserve per stack covers the tree; with them it is only a hint. Trees
+  // average about 2.1 steps per token; the step reserve also covers the
+  // chain reductions of the shortest trees.
+  const size_t N = Input.size();
   MatchResult R;
-  std::vector<int> StateStack{0};
+  std::vector<int> StateStack;
+  StateStack.reserve(N + 1);
+  StateStack.push_back(0);
   std::vector<SymId> SymStack; ///< parallel symbol stack (viable prefix)
-  R.Steps.reserve(Input.size() * 3);
+  SymStack.reserve(N + 1);
+  R.Steps.reserve(N * 3 + 2);
   size_t MaxDepth = 1;
 
   size_t Pos = 0;
-  const size_t N = Input.size();
   const int EofIdx = G.termIndex(G.eofSymbol());
 
   // The request's effective stack cap: the budget may only tighten the
@@ -131,7 +140,7 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
   };
 
   auto LookaheadName = [&] {
-    return Pos < N ? Input[Pos].Term : G.symbolName(G.eofSymbol());
+    return Pos < N ? tokenName(Input[Pos].Code) : G.symbolName(G.eofSymbol());
   };
 
   // Fails the match with a structured report; Error is the rendering of
@@ -169,9 +178,9 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
       return R;
     }
 
-    const int TermIdx = Pos < N ? G.termIndexOf(Input[Pos].Term) : EofIdx;
+    const int TermIdx = Pos < N ? TermOfCode[Input[Pos].Code] : EofIdx;
     if (TermIdx < 0) {
-      Blocked(BlockReport::Cause::UnknownTerminal, Input[Pos].Term);
+      Blocked(BlockReport::Cause::UnknownTerminal, LookaheadName());
       return R;
     }
 
@@ -242,7 +251,7 @@ std::string gg::renderTrace(const Grammar &G,
   for (const MatchStep &S : R.Steps) {
     if (S.Kind == MatchStep::Shift) {
       const LinToken &Tok = Input[S.TokenIndex];
-      Out += strf("shift   %s", Tok.Term.c_str());
+      Out += strf("shift   %s", tokenName(Tok.Code).c_str());
       if (Tok.N) {
         switch (Tok.N->Opcode) {
         case Op::Const:

@@ -12,6 +12,11 @@
 /// running one semantic action per reduction in the provably correct
 /// (bottom-up, left-to-right) order.
 ///
+/// The matcher reads integer token codes (ir/Linearize.h). Its constructor
+/// maps every code to the grammar's terminal index once, so the per-token
+/// path is one array load: no name is built and no hash table is probed.
+/// Names are rendered with tokenName only for BlockReport and renderTrace.
+///
 /// One SLR step is lrStep() below. Matcher::match and the fuzzer's table
 /// simulator (fuzz/TableSim.h) are both loops over it that only record
 /// what each step did. A reduce/reduce tie the table constructor deferred
@@ -181,10 +186,16 @@ public:
   const Grammar &grammar() const { return G; }
   const MatcherOptions &options() const { return Opts; }
 
+  /// Dense terminal index of token code \p C in this matcher's grammar, or
+  /// -1 if the grammar has no such terminal.
+  int termIndexOf(TokenCode C) const { return TermOfCode[C]; }
+
 private:
   const Grammar &G;
   const PackedTables &T;
   MatcherOptions Opts;
+  /// Token code -> terminal index (-1: not a terminal of G).
+  std::vector<int> TermOfCode;
 };
 
 /// Renders the Appendix-style action listing for a match: one line per

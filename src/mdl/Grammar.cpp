@@ -4,6 +4,7 @@
 #include "support/Strings.h"
 
 #include <cctype>
+#include <cstdint>
 
 using namespace gg;
 
@@ -50,6 +51,15 @@ int Grammar::addProduction(SymId Lhs, std::vector<SymId> Rhs, ActionKind Kind,
   P.Rhs = std::move(Rhs);
   P.Kind = Kind;
   P.SemTag = std::move(SemTag);
+  // Split "base_x_y" here, once, so no semantic action parses its tag.
+  std::vector<std::string_view> Parts = splitString(P.SemTag, '_');
+  assert(Parts[0].size() <= UINT8_MAX && "semantic tag base too long");
+  P.TagBaseLen = static_cast<uint8_t>(Parts[0].size());
+  size_t I = 1;
+  if (I < Parts.size() && Parts[I].size() == 1)
+    P.TagSC1 = Parts[I++][0];
+  if (I < Parts.size() && Parts[I].size() == 1)
+    P.TagSC2 = Parts[I++][0];
   P.IsBridge = IsBridge;
   P.FromReplication = FromReplication;
   Prods.push_back(std::move(P));

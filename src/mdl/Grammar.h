@@ -24,6 +24,7 @@
 
 #include <cassert>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -49,10 +50,17 @@ struct Production {
   /// replaces the paper's hand-assigned R(n) production numbers, whose
   /// design the authors called out as a flaw.
   std::string SemTag;
+  /// SemTag split once by addProduction: "add3_b_l" is the base "add3"
+  /// (its first TagBaseLen bytes) and the size letters 'b' and 'l'. A
+  /// letter is 0 when the tag has no such single-letter field.
+  uint8_t TagBaseLen = 0;
+  char TagSC1 = 0, TagSC2 = 0;
   /// True for bridge productions added to resolve syntactic blocks (§6.2.2).
   bool IsBridge = false;
   /// True if this production was created by the type replicator.
   bool FromReplication = false;
+
+  std::string_view tagBase() const { return {SemTag.data(), TagBaseLen}; }
 };
 
 /// A machine description grammar with dense symbol and production ids.

@@ -58,7 +58,8 @@ uint64_t monoNs() {
          static_cast<uint64_t>(TS.tv_nsec);
 }
 
-void record(const char *Kind, uint64_t Req, uint64_t Gen, int64_t Arg) {
+void record(const char *Kind, uint64_t Req, uint64_t Gen, int64_t Arg,
+            uint64_t Ns = monoNs()) {
   if (MyRing == -2) {
     uint32_t I = RingCount.fetch_add(1, std::memory_order_relaxed);
     MyRing = I < MaxRings ? static_cast<int>(I) : -1;
@@ -70,7 +71,7 @@ void record(const char *Kind, uint64_t Req, uint64_t Gen, int64_t Arg) {
   Event &E = R.Events[R.Head.fetch_add(1, std::memory_order_relaxed) %
                       RingSize];
   E.Seq.store(0, std::memory_order_release);
-  E.Ns = monoNs();
+  E.Ns = Ns;
   E.Req = Req;
   E.Gen = Gen;
   E.Arg = Arg;
@@ -213,10 +214,16 @@ void gg::flightRecord(FlightKind K, int64_t Arg) {
   record(flightKindName(K), C.Id, C.Generation, Arg);
 }
 
-void gg::flightRecord(PipelinePhase P, int64_t Arg) {
+void gg::flightRecord(PipelinePhase P, int64_t Arg,
+                      MonoClock::time_point Start) {
+  // MonoClock is CLOCK_MONOTONIC, the clock monoNs() reads.
   if (const char *Kind = phaseInfo(P).Flight) {
     RequestContext C = RequestScope::current();
-    record(Kind, C.Id, C.Generation, Arg);
+    record(Kind, C.Id, C.Generation, Arg,
+           static_cast<uint64_t>(
+               std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   Start.time_since_epoch())
+                   .count()));
   }
 }
 

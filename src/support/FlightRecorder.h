@@ -26,6 +26,7 @@
 #ifndef GG_SUPPORT_FLIGHTRECORDER_H
 #define GG_SUPPORT_FLIGHTRECORDER_H
 
+#include "support/Clock.h"
 #include "support/Phase.h"
 
 #include <cstdint>
@@ -58,8 +59,10 @@ const char *flightKindName(FlightKind K);
 void flightRecord(FlightKind K, int64_t Arg = 0);
 
 /// Records the start of phase \p P under its phaseInfo() flight name
-/// (PhaseScope's sink); a phase without one records nothing.
-void flightRecord(PipelinePhase P, int64_t Arg);
+/// (PhaseScope's sink); a phase without one records nothing. \p Start is
+/// the event's timestamp, read by the caller, which also times the phase
+/// with it.
+void flightRecord(PipelinePhase P, int64_t Arg, MonoClock::time_point Start);
 
 /// Same, with an explicit request identity — for recorders acting on
 /// another thread's behalf (the watchdog killing a worker's request).

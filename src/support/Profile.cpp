@@ -352,9 +352,11 @@ PhaseScope::PhaseScope(PipelinePhase P, RequestBudget *Budget, int64_t Arg,
   const PhaseInfo &Row = phaseInfo(P);
   if (Budget && Row.Status)
     Budget->setPhase(P);
-  flightRecord(P, Arg);
-  if (Times)
+  // One clock read stamps the flight event and starts the wall time.
+  if (Times || Row.Flight) {
     WallStart = MonoClock::now();
+    flightRecord(P, Arg, WallStart);
+  }
   Gate = profile().gate();
   if (!Row.ProfileKey || !(Gate & ProfileRegistry::Time))
     return;

@@ -18,7 +18,8 @@
 ///   * counters — monotonically increasing event counts
 ///     ("match.shifts", "regs.spills");
 ///   * values   — accumulated doubles, used for seconds
-///     ("cg.match_seconds", "tablegen.seconds");
+///     ("cg.match_seconds", "tablegen.build_seconds"); every timing name
+///     ends in `_seconds`, so a comparison can mask them as one family;
 ///   * histograms — log2-bucketed distributions
 ///     ("match.stack_depth").
 ///

@@ -509,7 +509,7 @@ private:
             [](const ReduceReduceConflict &C) { return C.Dynamic; }));
     S.counter("tablegen.chain_loops") += R.ChainLoops.size();
     S.counter("tablegen.blocks") += R.Blocks.size();
-    S.value("tablegen.seconds") += R.Seconds;
+    S.value("tablegen.build_seconds") += R.Seconds;
   }
 
   void detectBlocks(BuildResult &R) {

@@ -38,20 +38,6 @@ Ty tyForSize(char SC, bool Unsigned = false) {
 
 int sizeRank(char SC) { return SC == 'b' ? 1 : SC == 'w' ? 2 : 4; }
 
-/// Splits a semantic tag "base_b_l" into its base and size characters.
-void parseTag(const std::string &Tag, std::string &Base, char &SC1,
-              char &SC2) {
-  Base.clear();
-  SC1 = SC2 = 0;
-  std::vector<std::string_view> Parts = splitString(Tag, '_');
-  Base = std::string(Parts[0]);
-  size_t I = 1;
-  if (I < Parts.size() && Parts[I].size() == 1)
-    SC1 = Parts[I++][0];
-  if (I < Parts.size() && Parts[I].size() == 1)
-    SC2 = Parts[I++][0];
-}
-
 bool isPowerOfTwo(int64_t V) { return V > 1 && (V & (V - 1)) == 0; }
 
 int log2Of(int64_t V) {
@@ -261,14 +247,9 @@ SemVal VaxSemantics::dispatch(const Production &P, SemVal *Vals, size_t N) {
     assert(N == 1 && "glue production with multi-symbol RHS");
     return Vals[0];
   case ActionKind::Encap:
-  case ActionKind::Emit: {
-    std::string Base;
-    char SC1, SC2;
-    parseTag(P.SemTag, Base, SC1, SC2);
-    if (P.Kind == ActionKind::Encap)
-      return doEncap(P, Vals, N, Base, SC1, SC2);
-    return doEmit(P, Vals, N, Base, SC1, SC2);
-  }
+    return doEncap(P, Vals, N, P.tagBase(), P.TagSC1, P.TagSC2);
+  case ActionKind::Emit:
+    return doEmit(P, Vals, N, P.tagBase(), P.TagSC1, P.TagSC2);
   }
   gg_unreachable("bad action kind");
 }
@@ -278,7 +259,7 @@ SemVal VaxSemantics::dispatch(const Production &P, SemVal *Vals, size_t N) {
 //===----------------------------------------------------------------------===//
 
 SemVal VaxSemantics::doEncap(const Production &P, SemVal *Vals, size_t N,
-                             const std::string &Base, char SC1, char SC2) {
+                             std::string_view Base, char SC1, char SC2) {
   (void)N;
   (void)SC1;
   SemVal R;
@@ -416,7 +397,7 @@ SemVal VaxSemantics::doEncap(const Production &P, SemVal *Vals, size_t N,
 //===----------------------------------------------------------------------===//
 
 SemVal VaxSemantics::doEmit(const Production &P, SemVal *Vals, size_t N,
-                            const std::string &Base, char SC1, char SC2) {
+                            std::string_view Base, char SC1, char SC2) {
   SemVal R;
 
   // --- loads and conversions ---------------------------------------------

@@ -112,9 +112,9 @@ private:
   // --- reduction dispatch --------------------------------------------------
   SemVal dispatch(const Production &P, SemVal *Vals, size_t N);
   SemVal doEncap(const Production &P, SemVal *Vals, size_t N,
-                 const std::string &Base, char SC1, char SC2);
+                 std::string_view Base, char SC1, char SC2);
   SemVal doEmit(const Production &P, SemVal *Vals, size_t N,
-                const std::string &Base, char SC1, char SC2);
+                std::string_view Base, char SC1, char SC2);
 
   // --- instruction families -------------------------------------------------
   /// Three-operand arithmetic with idioms; returns the result operand.

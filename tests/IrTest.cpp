@@ -5,8 +5,11 @@
 #include "ir/Linearize.h"
 #include "ir/Node.h"
 #include "ir/Program.h"
+#include "vax/VaxTarget.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace gg;
 
@@ -172,15 +175,117 @@ TEST(LinearizeTest, PrefixOrderAndNodes) {
                         A.local(Ty::B, -4)));
   std::vector<LinToken> Toks = linearize(T);
   ASSERT_EQ(Toks.size(), 8u);
-  EXPECT_EQ(Toks[0].Term, "Assign_l");
-  EXPECT_EQ(Toks[1].Term, "Name_l");
-  EXPECT_EQ(Toks[2].Term, "Plus_l");
-  EXPECT_EQ(Toks[3].Term, "Const_b");
-  EXPECT_EQ(Toks[4].Term, "Indir_b");
-  EXPECT_EQ(Toks[5].Term, "Plus_l");
-  EXPECT_EQ(Toks[6].Term, "Const_l");
-  EXPECT_EQ(Toks[7].Term, "Dreg_l");
+  EXPECT_EQ(tokenName(Toks[0].Code), "Assign_l");
+  EXPECT_EQ(tokenName(Toks[1].Code), "Name_l");
+  EXPECT_EQ(tokenName(Toks[2].Code), "Plus_l");
+  EXPECT_EQ(tokenName(Toks[3].Code), "Const_b");
+  EXPECT_EQ(tokenName(Toks[4].Code), "Indir_b");
+  EXPECT_EQ(tokenName(Toks[5].Code), "Plus_l");
+  EXPECT_EQ(tokenName(Toks[6].Code), "Const_l");
+  EXPECT_EQ(tokenName(Toks[7].Code), "Dreg_l");
   EXPECT_EQ(Toks[3].N->Value, 27);
+}
+
+/// The naming rule LinearizeTest.TerminalNames asserts, spelled out
+/// independently of the token-code table.
+std::string expectedTerminalName(const Node *N) {
+  const std::string Sfx(1, suffixChar(N->Type));
+  switch (N->Opcode) {
+  case Op::Const:
+    if (sizeClassOf(N->Type) == SizeClass::L)
+      switch (N->Value) {
+      case 0:
+        return "Zero";
+      case 1:
+        return "One";
+      case 2:
+        return "Two";
+      case 4:
+        return "Four";
+      case 8:
+        return "Eight";
+      }
+    break;
+  case Op::Conv:
+    return "Cvt_" + std::string(1, suffixChar(N->left()->Type)) + "_" + Sfx;
+  case Op::CBranch:
+    return "CBranch";
+  case Op::Label:
+    return "Label";
+  default:
+    break;
+  }
+  return std::string(opName(N->Opcode)) + "_" + Sfx;
+}
+
+TEST(Linearize, TokenCodesMatchTerminalNames) {
+  const Ty Types[] = {Ty::B, Ty::W, Ty::L, Ty::UB, Ty::UW, Ty::UL};
+  NodeArena A;
+  auto Check = [](const Node *N) {
+    SCOPED_TRACE(expectedTerminalName(N));
+    const TokenCode C = tokenCode(N);
+    ASSERT_LT(C, NumTokenCodes);
+    EXPECT_EQ(tokenName(C), expectedTerminalName(N));
+    EXPECT_EQ(terminalName(N), tokenName(C));
+  };
+
+  // Every (op, type) node shape. Conv takes its source from a child.
+  for (int O = 0; O < NumIrOps; ++O)
+    for (Ty T : Types) {
+      Node *N = A.make(static_cast<Op>(O), T);
+      if (N->Opcode == Op::Conv)
+        N->Kids[0] = A.con(T, 3);
+      Check(N);
+    }
+  // Every Conv pair, and the constants around the special values.
+  for (Ty From : Types)
+    for (Ty To : Types)
+      Check(A.unary(Op::Conv, To, A.con(From, 3)));
+  for (Ty T : {Ty::L, Ty::UL, Ty::B})
+    for (int64_t V : {-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 1000})
+      Check(A.con(T, V));
+
+  // Codes name distinct terminals, so a code is a terminal.
+  std::set<std::string> Names;
+  for (TokenCode C = 0; C < NumTokenCodes; ++C)
+    EXPECT_TRUE(Names.insert(tokenName(C)).second) << tokenName(C);
+
+  // The VAX matcher's code -> terminal map is the grammar's by-name lookup.
+  std::string Err;
+  std::unique_ptr<VaxTarget> T = VaxTarget::create(Err);
+  ASSERT_NE(T, nullptr) << Err;
+  for (TokenCode C = 0; C < NumTokenCodes; ++C)
+    EXPECT_EQ(T->matcher().termIndexOf(C),
+              T->grammar().termIndexOf(tokenName(C)))
+        << tokenName(C);
+}
+
+void prefixOrder(const Node *N, std::vector<const Node *> &Out) {
+  if (!N)
+    return;
+  Out.push_back(N);
+  prefixOrder(N->left(), Out);
+  prefixOrder(N->right(), Out);
+}
+
+TEST(Linearize, TreesOfEverySizeKeepPrefixOrder) {
+  // Small trees and trees larger than the linearizer's stack buffer.
+  NodeArena A;
+  for (int Leaves : {1, 2, 64, 65, 200}) {
+    Node *T = A.con(Ty::L, 3);
+    for (int I = 1; I < Leaves; ++I)
+      T = I % 2 ? A.bin(Op::Plus, Ty::L, T, A.con(Ty::B, I))
+                : A.bin(Op::Minus, Ty::W, A.con(Ty::L, I), T);
+    std::vector<const Node *> Want;
+    prefixOrder(T, Want);
+    std::vector<LinToken> Got = linearize(T);
+    ASSERT_EQ(Got.size(), Want.size()) << Leaves;
+    for (size_t I = 0; I < Want.size(); ++I) {
+      EXPECT_EQ(Got[I].N, Want[I]);
+      EXPECT_EQ(Got[I].Code, tokenCode(Want[I]));
+    }
+  }
+  EXPECT_TRUE(linearize(nullptr).empty());
 }
 
 TEST(PrintTest, LinearRendering) {

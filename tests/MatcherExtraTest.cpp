@@ -4,6 +4,7 @@
 #include "frontend/Parser.h"
 #include "fuzz/TableSim.h"
 #include "match/Matcher.h"
+#include "TokenNames.h"
 #include "support/Profile.h"
 #include "mdl/SpecParser.h"
 #include "tablegen/TableBuilder.h"
@@ -64,8 +65,8 @@ TEST(MatcherExtra, DeferredTieTakesTableDefault) {
       A.bin(Op::Assign, Ty::L, A.con(Ty::L, 77), A.con(Ty::L, 5));
   // Use a flat 2-token input crafted for this grammar.
   std::vector<LinToken> Input;
-  Input.push_back({"Assign_l", Tree});
-  Input.push_back({"Const_l", Tree->left()});
+  Input.push_back({codeNamed("Assign_l"), Tree});
+  Input.push_back({codeNamed("Const_l"), Tree->left()});
 
   auto TagOfFirstEncap = [&](const MatchResult &MR) -> std::string {
     for (const MatchStep &S : MR.Steps)
@@ -196,7 +197,7 @@ TEST(LrStep, DepthCapChecksBeforeTheAction) {
 
   // The matcher reports the same outcome through its configured cap.
   Matcher Capped(B.G, *B.P, MatcherOptions{1});
-  std::vector<LinToken> Input{{"Plus_l", nullptr}, {"Const_l", nullptr}};
+  std::vector<LinToken> Input{tok("Plus_l"), tok("Const_l")};
   MatchResult MR = Capped.match(Input);
   ASSERT_TRUE(MR.Block);
   EXPECT_EQ(MR.Block->Why, BlockReport::Cause::DepthCap);
@@ -250,7 +251,7 @@ void expectMatcherAgreesWithSim(const Built &B,
   std::vector<LinToken> Input;
   std::vector<int> Idxs;
   for (const std::string &N : Names) {
-    Input.push_back({N, nullptr});
+    Input.push_back(tok(N));
     Idxs.push_back(B.G.termIndexOf(N));
   }
   profile().enableCoverage();
@@ -304,7 +305,7 @@ TEST(LrStep, MatcherAndTableSimAgree) {
   Built Under = buildFrom(AddSpec);
   reduceOnEmptyStack(Under);
   expectMatcherAgreesWithSim(Under, {"Plus_l", "Const_l", "Const_l"});
-  MatchResult MR = Under.M->match({{"Plus_l", nullptr}});
+  MatchResult MR = Under.M->match({tok("Plus_l")});
   ASSERT_TRUE(MR.Block);
   EXPECT_EQ(MR.Block->Why, BlockReport::Cause::Underflow);
 }
@@ -316,10 +317,10 @@ s <- Const_l : emit c
 )";
   Built B = buildFrom(Spec);
   std::vector<LinToken> Input;
-  Input.push_back({"Quux_l", nullptr});
+  Input.push_back(tok("Plus_l")); // a node shape this grammar lacks
   MatchResult MR = B.M->match(Input);
   EXPECT_FALSE(MR.Ok);
-  EXPECT_NE(MR.Error.find("no terminal symbol 'Quux_l'"),
+  EXPECT_NE(MR.Error.find("no terminal symbol 'Plus_l'"),
             std::string::npos);
 }
 
@@ -330,7 +331,7 @@ s <- Plus_l Const_l Const_l : emit add
 )";
   Built B = buildFrom(Spec);
   std::vector<LinToken> Input;
-  Input.push_back({"Const_l", nullptr}); // Plus_l expected first
+  Input.push_back(tok("Const_l")); // Plus_l expected first
   MatchResult MR = B.M->match(Input);
   EXPECT_FALSE(MR.Ok);
   EXPECT_NE(MR.Error.find("syntactic block"), std::string::npos);
@@ -344,8 +345,8 @@ s <- Plus_l Const_l Const_l : emit add
 )";
   Built B = buildFrom(Spec);
   std::vector<LinToken> Input;
-  Input.push_back({"Plus_l", nullptr});
-  Input.push_back({"Const_l", nullptr});
+  Input.push_back(tok("Plus_l"));
+  Input.push_back(tok("Const_l"));
   MatchResult MR = B.M->match(Input);
   EXPECT_FALSE(MR.Ok);
   EXPECT_NE(MR.Error.find("$end"), std::string::npos);

@@ -13,6 +13,7 @@
 #include "support/Deadline.h"
 #include "ir/Linearize.h"
 #include "match/Matcher.h"
+#include "TokenNames.h"
 #include "mdl/SpecParser.h"
 #include "support/FaultInject.h"
 #include "support/Stats.h"
@@ -87,7 +88,7 @@ s <- Plus_l Const_l Const_l : emit add
 )";
   Built B = buildFrom(Spec);
   std::vector<LinToken> Input;
-  Input.push_back({"Const_l", nullptr}); // Plus_l expected first
+  Input.push_back(tok("Const_l")); // Plus_l expected first
   MatchResult MR = B.M->match(Input);
   ASSERT_FALSE(MR.Ok);
   ASSERT_TRUE(MR.Block.has_value());
@@ -109,12 +110,12 @@ s <- Const_l : emit c
 )";
   Built B = buildFrom(Spec);
   std::vector<LinToken> Input;
-  Input.push_back({"Quux_l", nullptr});
+  Input.push_back(tok("Plus_l")); // a node shape this grammar lacks
   MatchResult MR = B.M->match(Input);
   ASSERT_FALSE(MR.Ok);
   ASSERT_TRUE(MR.Block.has_value());
   EXPECT_EQ(MR.Block->Why, BlockReport::Cause::UnknownTerminal);
-  EXPECT_EQ(MR.Block->Lookahead, "Quux_l");
+  EXPECT_EQ(MR.Block->Lookahead, "Plus_l");
 }
 
 TEST(BlockReport, ViablePrefixShowsParseSoFar) {
@@ -127,10 +128,10 @@ reg_l <- Const_l : emit load
   Built B = buildFrom(Spec);
   // Assign Name + (blocked: Assign is not an rval here).
   std::vector<LinToken> Input;
-  Input.push_back({"Assign_l", nullptr});
-  Input.push_back({"Name_l", nullptr});
-  Input.push_back({"Plus_l", nullptr});
-  Input.push_back({"Assign_l", nullptr});
+  Input.push_back(tok("Assign_l"));
+  Input.push_back(tok("Name_l"));
+  Input.push_back(tok("Plus_l"));
+  Input.push_back(tok("Assign_l"));
   MatchResult MR = B.M->match(Input);
   ASSERT_FALSE(MR.Ok);
   ASSERT_TRUE(MR.Block.has_value());
@@ -146,7 +147,7 @@ TEST(BlockReport, DepthCapReportsAndCounts) {
   // reduction, so a tiny cap trips mid-parse.
   const char *Spec = R"(
 %start s
-s <- Seq_l Const_l s : emit cons
+s <- Plus_l Const_l s : emit cons
 s <- Const_l : emit nil
 )";
   MatcherOptions Opts;
@@ -154,10 +155,10 @@ s <- Const_l : emit nil
   Built B = buildFrom(Spec, Opts);
   std::vector<LinToken> Input;
   for (int I = 0; I < 8; ++I) {
-    Input.push_back({"Seq_l", nullptr});
-    Input.push_back({"Const_l", nullptr});
+    Input.push_back(tok("Plus_l"));
+    Input.push_back(tok("Const_l"));
   }
-  Input.push_back({"Const_l", nullptr});
+  Input.push_back(tok("Const_l"));
   MatchResult MR = B.M->match(Input);
   ASSERT_FALSE(MR.Ok);
   ASSERT_TRUE(MR.Block.has_value());
@@ -475,10 +476,10 @@ s <- Const_l : emit move
   // the innermost Const_l — ~1800 matcher steps, far over the budget.
   std::vector<LinToken> Input;
   for (int I = 0; I < 600; ++I) {
-    Input.push_back({"Plus_l", nullptr});
-    Input.push_back({"Const_l", nullptr});
+    Input.push_back(tok("Plus_l"));
+    Input.push_back(tok("Const_l"));
   }
-  Input.push_back({"Const_l", nullptr});
+  Input.push_back(tok("Const_l"));
 
   RequestBudget Budget;
   Budget.MaxSteps = 256; // poll interval is 128, so the cap is observed

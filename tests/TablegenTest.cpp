@@ -52,6 +52,24 @@ TEST_F(TinyGrammarTest, SymbolClassification) {
   EXPECT_EQ(G.numProductions(), 12u);
 }
 
+TEST(GrammarTags, SplitOnceAtAddProduction) {
+  Grammar G;
+  auto Split = [&](const char *Tag) {
+    const Production &P =
+        G.prod(G.addProduction("s", {"X"}, ActionKind::Emit, Tag));
+    return std::string(P.tagBase()) + "|" +
+           (P.TagSC1 ? std::string(1, P.TagSC1) : "-") +
+           (P.TagSC2 ? std::string(1, P.TagSC2) : "-");
+  };
+  EXPECT_EQ(Split("add3_b_l"), "add3|bl");
+  EXPECT_EQ(Split("mov_w"), "mov|w-");
+  EXPECT_EQ(Split("usedreg"), "usedreg|--");
+  EXPECT_EQ(Split("mode.disp_bb"), "mode.disp|--"); // not a size letter
+  EXPECT_EQ(Split("cvt_b_ww"), "cvt|b-");
+  EXPECT_EQ(Split("x__l"), "x|--"); // an empty field ends the sizes
+  EXPECT_EQ(Split(""), "|--");
+}
+
 TEST_F(TinyGrammarTest, BuildsTables) {
   BuildResult R = buildTables(G);
   ASSERT_TRUE(R.Ok) << R.Error;
@@ -95,9 +113,9 @@ TEST_F(TinyGrammarTest, MatchesSimpleAssignment) {
                            A.name(Ty::L, Syms.intern("b"))));
   std::vector<LinToken> Input = linearize(Tree);
   ASSERT_EQ(Input.size(), 5u);
-  EXPECT_EQ(Input[0].Term, "Assign_l");
-  EXPECT_EQ(Input[2].Term, "Plus_l");
-  EXPECT_EQ(Input[3].Term, "One");
+  EXPECT_EQ(tokenName(Input[0].Code), "Assign_l");
+  EXPECT_EQ(tokenName(Input[2].Code), "Plus_l");
+  EXPECT_EQ(tokenName(Input[3].Code), "One");
 
   MatchResult MR = M.match(Input);
   ASSERT_TRUE(MR.Ok) << MR.Error;

@@ -1063,6 +1063,16 @@ int main(int argc, char **argv) {
                 "below the --fail-attribution-below=%.1f%% gate\n",
                 Attr, FailAttrBelow);
         Ok = false;
+      } else if (Attr > 100.0) {
+        // Phase ticks are summed over workers while cg.total is wall
+        // time, so a parallel run can read well above 100% and would
+        // pass any floor.
+        fprintf(stderr,
+                "gg-report: attributed phase time %.1f%% of cg.total is "
+                "above 100%%, so the --fail-attribution-below gate cannot "
+                "judge it; profile at --threads=1\n",
+                Attr);
+        Ok = false;
       }
     }
     if (!ProfileJsonPath.empty()) {
